@@ -18,14 +18,12 @@ namespace detail {
 using net::AmpVector;
 using topo::AsId;
 
-const PathView& PathClassifier::view(AsId src, AsId dst) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  return cache_.emplace(key, classify(src, dst)).first->second;
-}
+PathTable::PathTable(const Internet& internet)
+    : internet_(&internet),
+      as_count_(internet.topology().as_count()),
+      entries_(as_count_ * as_count_) {}
 
-PathView PathClassifier::classify(AsId src, AsId dst) const {
+PathView PathTable::classify(AsId src, AsId dst) const {
   PathView result;
   const topo::Router& router = internet_->router();
   if (!router.reachable(src, dst)) return result;
@@ -53,19 +51,28 @@ PathView PathClassifier::classify(AsId src, AsId dst) const {
   return result;
 }
 
-VantageMetrics::VantageMetrics(const char* vantage) {
+void VantageTally::publish(const char* vantage) const {
   obs::MetricsRegistry& registry = obs::metrics();
   const obs::Labels labels{{"vantage", vantage}};
-  emits = &registry.counter("booterscope_landscape_emits_total", labels);
-  flows = &registry.counter("booterscope_landscape_flows_total", labels);
-  offered_packets =
-      &registry.counter("booterscope_landscape_offered_packets_total", labels);
-  sampled_packets =
-      &registry.counter("booterscope_landscape_sampled_packets_total", labels);
-  zero_sample_drops = &registry.counter(
-      "booterscope_landscape_zero_sample_drops_total", labels);
-  window_drops =
-      &registry.counter("booterscope_landscape_window_drops_total", labels);
+  registry.counter("booterscope_landscape_emits_total", labels).add(emits);
+  registry.counter("booterscope_landscape_flows_total", labels).add(flows);
+  registry.counter("booterscope_landscape_offered_packets_total", labels)
+      .add(offered_packets);
+  registry.counter("booterscope_landscape_sampled_packets_total", labels)
+      .add(sampled_packets);
+  registry.counter("booterscope_landscape_zero_sample_drops_total", labels)
+      .add(zero_sample_drops);
+  registry.counter("booterscope_landscape_window_drops_total", labels)
+      .add(window_drops);
+}
+
+void Context::publish() const {
+  ixp_tally.publish("ixp");
+  tier1_tally.publish("tier1");
+  tier2_tally.publish("tier2");
+  obs::metrics()
+      .counter("booterscope_landscape_unreachable_drops_total")
+      .add(unreachable_drops);
 }
 
 void Context::emit(AsId src_as, net::Ipv4Addr src, AsId dst_as,
@@ -73,9 +80,9 @@ void Context::emit(AsId src_as, net::Ipv4Addr src, AsId dst_as,
                    std::uint16_t dst_port, std::uint64_t true_packets,
                    std::uint32_t packet_bytes, util::Timestamp first,
                    util::Timestamp last) {
-  const PathView& pv = classifier.view(src_as, dst_as);
+  const PathView& pv = paths->view(src_as, dst_as);
   if (!pv.reachable) {
-    unreachable_drops->inc();
+    ++unreachable_drops;
     return;
   }
   const topo::Topology& topology = internet->topology();
@@ -99,34 +106,34 @@ void Context::emit(AsId src_as, net::Ipv4Addr src, AsId dst_as,
   auto push = [&](flow::FlowList& out, const Visibility& vis,
                   std::uint32_t sampling,
                   const std::optional<LandscapeConfig::Window>& window,
-                  VantageMetrics& metrics) {
+                  VantageTally& tally) {
     if (!vis.visible) return;
-    metrics.emits->inc();
+    ++tally.emits;
     if (window && !window->contains(first)) {
-      metrics.window_drops->inc();
+      ++tally.window_drops;
       return;
     }
-    metrics.offered_packets->add(true_packets);
+    tally.offered_packets += true_packets;
     const double expected =
         static_cast<double>(true_packets) / static_cast<double>(sampling);
     const std::uint64_t sampled = util::poisson(rng, expected);
     if (sampled == 0) {
-      metrics.zero_sample_drops->inc();
+      ++tally.zero_sample_drops;
       return;
     }
     flow::FlowRecord f = make_record(vis, sampling);
     f.packets = sampled;
     f.bytes = sampled * packet_bytes;
     out.push_back(f);
-    metrics.flows->inc();
-    metrics.sampled_packets->add(sampled);
+    ++tally.flows;
+    tally.sampled_packets += sampled;
   };
   push(ixp_flows, pv.ixp, config->ixp_sampling, config->ixp_window,
-       ixp_metrics);
+       ixp_tally);
   push(tier1_flows, pv.tier1, config->tier1_sampling, config->tier1_window,
-       tier1_metrics);
+       tier1_tally);
   push(tier2_flows, pv.tier2, config->tier2_sampling, config->tier2_window,
-       tier2_metrics);
+       tier2_tally);
 }
 
 double seasonality(util::Timestamp t) noexcept {
@@ -625,7 +632,8 @@ LandscapeResult run_landscape(const Internet& internet,
           : HoneypotDeployment();
 
   const util::Timestamp end = config.start + util::Duration::days(config.days);
-  detail::Context ctx(internet, config, rng.fork("context"));
+  detail::PathTable paths(internet);
+  detail::Context ctx(internet, config, paths, rng.fork("context"));
   {
     obs::StageTimer timer(tracer, "attack_traffic");
     const EmitDelta delta(ctx);
@@ -650,6 +658,7 @@ LandscapeResult run_landscape(const Internet& internet,
                                     ctx.rng.fork("benign"));
     delta.record(ctx, timer);
   }
+  ctx.publish();
   obs::metrics()
       .counter("booterscope_landscape_attacks_total")
       .add(result.attacks.size());

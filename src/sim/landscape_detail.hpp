@@ -1,12 +1,12 @@
 // Internal machinery shared by the serial (landscape.cpp) and sharded
-// parallel (landscape_parallel.cpp) landscape drivers. Not part of the
-// public surface: include only from sim/*.cpp.
+// (landscape_shard.cpp) landscape drivers. Not part of the public surface:
+// include only from sim/*.cpp and from tests that pin the drivers' state.
 //
 // The generation primitives are parameterized by a [from, to) time range
 // and an explicit Rng so that
 //   - the serial driver calls them once over the whole study window with
 //     fork()-derived streams (bit-identical to the pre-refactor code), and
-//   - the parallel driver calls them per day-shard with counter-based
+//   - the sharded drivers call them per day shard with counter-based
 //     Rng::split streams, making the output independent of thread count.
 #pragma once
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "flow/record.hpp"
-#include "obs/metrics.hpp"
 #include "sim/booter.hpp"
 #include "sim/honeypot.hpp"
 #include "sim/internet.hpp"
@@ -39,66 +38,88 @@ struct PathView {
   bool reachable = false;
 };
 
-/// Caches vantage visibility per (src, dst) AS pair. Each generation
-/// context owns one; in the parallel driver every shard keeps its own, so
-/// the cache is never shared across threads.
-class PathClassifier {
+/// Vantage visibility of every (src, dst) AS pair, filled lazily: a dense
+/// table over the Internet's AS pairs (273² entries, about 2 MB by
+/// default). `classify` is pure, so a table's content never depends on
+/// which shard filled it; the sharded drivers keep one table per wave slot
+/// and reuse it across waves, and a table is never shared between threads.
+class PathTable {
  public:
-  explicit PathClassifier(const Internet& internet) : internet_(&internet) {}
+  explicit PathTable(const Internet& internet);
 
-  const PathView& view(topo::AsId src, topo::AsId dst);
+  const PathView& view(topo::AsId src, topo::AsId dst) {
+    Entry& entry = entries_[static_cast<std::size_t>(src) * as_count_ + dst];
+    if (!entry.filled) {
+      entry.view = classify(src, dst);
+      entry.filled = true;
+    }
+    return entry.view;
+  }
 
  private:
+  struct Entry {
+    PathView view;
+    bool filled = false;
+  };
+
   [[nodiscard]] PathView classify(topo::AsId src, topo::AsId dst) const;
 
   const Internet* internet_;
-  std::unordered_map<std::uint64_t, PathView> cache_;
+  std::size_t as_count_;
+  std::vector<Entry> entries_;
 };
 
-/// Per-vantage emit/drop accounting in the global registry. `emits` counts
+/// Per-vantage emit/drop tallies of one generation context. `emits` counts
 /// every visible-path emission attempt; it equals
 ///   window_drops + zero_sample_drops + flows
 /// — the flow-count conservation identity carried into run manifests.
 /// `offered` is pre-sampling truth on visible in-window paths; `sampled` is
 /// what the vantage exported; their gap is the sampler loss the paper's
 /// §3.2 caveat is about.
-struct VantageMetrics {
-  obs::Counter* emits;
-  obs::Counter* flows;
-  obs::Counter* offered_packets;
-  obs::Counter* sampled_packets;
-  obs::Counter* zero_sample_drops;  // emits whose Poisson draw came up 0
-  obs::Counter* window_drops;       // emits outside the vantage's window
+struct VantageTally {
+  std::uint64_t emits = 0;
+  std::uint64_t flows = 0;
+  std::uint64_t offered_packets = 0;
+  std::uint64_t sampled_packets = 0;
+  std::uint64_t zero_sample_drops = 0;  // emits whose Poisson draw came up 0
+  std::uint64_t window_drops = 0;       // emits outside the vantage's window
 
-  explicit VantageMetrics(const char* vantage);
+  /// Adds the tallies to the `vantage`-labelled landscape counters of the
+  /// global registry.
+  void publish(const char* vantage) const;
 };
 
-/// Mutable generation context: flow sinks, path cache and the sampling RNG.
-/// The serial driver owns one for the whole run; the parallel driver owns
-/// one per day shard (with a split()-derived rng).
+/// Mutable generation context: flow sinks, the path table and the sampling
+/// RNG. The serial driver owns one for the whole run; the sharded drivers
+/// make one per day shard (with a split()-derived rng). Emit accounting
+/// stays in plain tallies until `publish`, which the owner calls once when
+/// the context is done, so the registry's counters move in steps of one
+/// context.
 struct Context {
   const Internet* internet;
   const LandscapeConfig* config;
-  PathClassifier classifier;
+  PathTable* paths;
   util::Rng rng;
   flow::FlowList ixp_flows;
   flow::FlowList tier1_flows;
   flow::FlowList tier2_flows;
-  VantageMetrics ixp_metrics{"ixp"};
-  VantageMetrics tier1_metrics{"tier1"};
-  VantageMetrics tier2_metrics{"tier2"};
-  obs::Counter* unreachable_drops =
-      &obs::metrics().counter("booterscope_landscape_unreachable_drops_total");
+  VantageTally ixp_tally;
+  VantageTally tier1_tally;
+  VantageTally tier2_tally;
+  std::uint64_t unreachable_drops = 0;
 
   explicit Context(const Internet& net, const LandscapeConfig& cfg,
-                   util::Rng context_rng)
-      : internet(&net), config(&cfg), classifier(net), rng(context_rng) {}
+                   PathTable& path_table, util::Rng context_rng)
+      : internet(&net), config(&cfg), paths(&path_table), rng(context_rng) {}
 
   /// Emits one sampled flow record to every vantage that sees the path.
   void emit(topo::AsId src_as, net::Ipv4Addr src, topo::AsId dst_as,
             net::Ipv4Addr dst, std::uint16_t src_port, std::uint16_t dst_port,
             std::uint64_t true_packets, std::uint32_t packet_bytes,
             util::Timestamp first, util::Timestamp last);
+
+  /// Adds this context's tallies to the global registry.
+  void publish() const;
 };
 
 /// Demand seasonality: weekday x hour-of-day multiplier, mean ~1.
@@ -123,8 +144,8 @@ using ReflectorPools = std::unordered_map<net::AmpVector, ReflectorPool>;
 
 /// Builds the booter market (profiles, live services, backend hosts) from
 /// `market_rng`. Deterministic: every caller that feeds an identically
-/// seeded rng gets an identical market, which is how the parallel driver
-/// replicates per-shard market state.
+/// seeded rng gets an identical market. The sharded drivers build it once
+/// per run and advance that one replica in day order.
 [[nodiscard]] MarketRuntime build_market(const Internet& internet,
                                          const LandscapeConfig& config,
                                          const ReflectorPools& pools,

@@ -1,14 +1,14 @@
 #include "sim/landscape_parallel.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "sim/landscape_shard.hpp"
-#include "util/time.hpp"
 
 namespace booterscope::sim {
 
@@ -29,45 +29,16 @@ LandscapeResult run_landscape_parallel(const Internet& internet,
   LandscapeResult result;
   result.config = config;
 
-  // Shared, read-only shard inputs; each shard builds its own mutable
-  // market replica from the same fork sequence the serial driver uses
-  // (see detail::run_day_shard).
-  const detail::SharedShardState shared =
-      detail::build_shared_state(internet, config);
-  result.market = shared.market_profiles;
-
-  const auto days = static_cast<std::size_t>(config.days);
-  std::vector<detail::DayShardOutput> shards(days);
-
-  {
-    obs::StageTimer timer(tracer, "day_shards");
-    timer.add_items_in(days);
-    pool.parallel_for(days, [&](std::size_t d) {
-      detail::run_day_shard(internet, config, shared.pools, shared.honeypots,
-                            d, shards[d]);
-    });
-    // The pool is quiet again: merge per-worker attribution into the
-    // (single-threaded) stage tree.
-    for (const detail::DayShardOutput& shard : shards) {
-      timer.add_items_out(shard.flow_count());
-    }
-    if (tracer != nullptr) {
-      obs::TimelineRecorder* timeline = tracer->timeline();
-      for (const detail::DayShardOutput& shard : shards) {
-        tracer->add_completed(
-            "day_shard", shard.worker,
-            static_cast<std::uint64_t>(shard.end_nanos - shard.begin_nanos), 1,
-            1, shard.flow_count(), 0);
-        if (timeline != nullptr && shard.worker >= 0) {
-          // Mirror the shard into the executing worker's timeline lane —
-          // the sequential post-quiesce hand-off (see TimelineRecorder).
-          timeline->add_completed_span(
-              static_cast<std::size_t>(shard.worker) + 1, "day_shard", "shard",
-              shard.begin_nanos, shard.end_nanos);
-        }
-      }
-    }
-  }
+  // Waves bound the market copies held at once; the shards themselves
+  // are all kept for the day-order merge below.
+  std::vector<detail::DayShardOutput> shards(
+      static_cast<std::size_t>(config.days));
+  result.market = detail::run_day_waves(
+      internet, config, pool, 0, tracer,
+      [&](std::size_t first_day, std::span<detail::DayShardOutput> wave) {
+        std::move(wave.begin(), wave.end(),
+                  shards.begin() + static_cast<std::ptrdiff_t>(first_day));
+      });
 
   {
     obs::StageTimer timer(tracer, "merge");

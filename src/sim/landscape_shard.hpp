@@ -1,32 +1,23 @@
-// The day-shard computation shared by the materialized parallel driver
+// The day-shard wave loop shared by the materialized parallel driver
 // (landscape_parallel.cpp) and the streaming driver (landscape_stream.cpp).
 //
-// Both drivers schedule the same pure function over day indices; only what
-// happens to a finished shard differs (merge into FlowStores vs drain into
-// a FlowBatchSink and free). Keeping the shard body in one place is the
-// byte-identity argument between the two engines: identical inputs, one
-// implementation, identical flows.
+// Both drivers run the same loop over day indices; only what happens to a
+// finished wave differs (keep the shards for a merge into FlowStores vs
+// drain them into a FlowBatchSink and free). Keeping the loop and the shard
+// body in one place is the byte-identity argument between the two engines:
+// identical inputs, one implementation, identical flows.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
+#include "obs/trace.hpp"
 #include "sim/landscape.hpp"
-#include "sim/landscape_detail.hpp"
 
 namespace booterscope::sim::detail {
-
-/// Read-only state shared by every shard of a run: reflector pools, the
-/// booter market profiles (for the result), and the honeypot deployment.
-/// Built once per run from the same fork sequence the serial driver uses.
-struct SharedShardState {
-  ReflectorPools pools;
-  std::vector<BooterProfile> market_profiles;
-  HoneypotDeployment honeypots;
-};
-
-[[nodiscard]] SharedShardState build_shared_state(const Internet& internet,
-                                                  const LandscapeConfig& config);
 
 /// Everything one day shard produces, written into an index-addressed slot
 /// so downstream merging never depends on completion order.
@@ -45,16 +36,34 @@ struct DayShardOutput {
   }
 };
 
-/// Runs day shard `d`: replicates the market at day `d`, then generates
-/// attack, maintenance, and benign traffic into a fresh context. Pure in
-/// (internet, config, pools, honeypots, d) — every flow's `first` timestamp
+/// Receives one finished wave on the driver thread: the shards of days
+/// [first_day, first_day + shards.size()), in day order. The handler may
+/// move out of or reset the shards.
+using WaveHandler =
+    std::function<void(std::size_t first_day, std::span<DayShardOutput>)>;
+
+/// Generates every day of `config` over `pool`, `wave` day shards at a
+/// time (0 = twice the pool size), and hands each finished wave to
+/// `on_wave`. Returns the booter market's profiles.
+///
+/// The run's state is built once: the reflector pools, the honeypot
+/// deployment, one booter market and one path table per wave slot. The
+/// market is advanced in day order on the driver thread, and every shard of
+/// a wave gets a copy of it at the shard's day; the path tables are reused
+/// across waves. Each ReflectorList owns its RNG stream, so day-by-day
+/// churn makes the same draws wherever the market is copied.
+///
+/// Shard d generates attack, maintenance and benign traffic into a fresh
+/// context with util::Rng::split(seed, label, d) streams, so its output is
+/// a pure function of (internet, config, d). Every flow's `first` timestamp
 /// is >= config.start + d days (attacks launch within their day; the 1 h
 /// duration cap only spills *forward*), which is the invariant streaming
-/// sinks rely on to finalize earlier bins at day_complete barriers.
-/// Thread-safe: called concurrently for distinct `d` by both drivers.
-void run_day_shard(const Internet& internet, const LandscapeConfig& config,
-                   const ReflectorPools& pools,
-                   const HoneypotDeployment& honeypots, std::size_t d,
-                   DayShardOutput& out);
+/// sinks rely on to finalize earlier bins at day_complete barriers. At most
+/// `wave` market copies and shard outputs are held at once. Stage timings
+/// ("day_shards", per-shard "day_shard" spans) go into `tracer` if given.
+[[nodiscard]] std::vector<BooterProfile> run_day_waves(
+    const Internet& internet, const LandscapeConfig& config,
+    exec::ThreadPool& pool, std::size_t wave, obs::StageTracer* tracer,
+    const WaveHandler& on_wave);
 
 }  // namespace booterscope::sim::detail

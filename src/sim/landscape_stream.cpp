@@ -1,10 +1,8 @@
 #include "sim/landscape_stream.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <span>
 
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "sim/landscape_shard.hpp"
 #include "util/time.hpp"
 
@@ -46,79 +44,41 @@ StreamSummary run_landscape_stream(const Internet& internet,
   StreamSummary summary;
   summary.config = config;
 
-  const detail::SharedShardState shared =
-      detail::build_shared_state(internet, config);
-  summary.market = shared.market_profiles;
-
-  const auto days = static_cast<std::size_t>(config.days);
-  const std::size_t wave =
-      options.max_inflight_days != 0
-          ? options.max_inflight_days
-          : std::max<std::size_t>(std::size_t{1}, pool.size() * 2);
   flow::FlowBatch batch(options.batch_flows);
-  std::vector<detail::DayShardOutput> shards;
-
-  for (std::size_t wave_start = 0; wave_start < days; wave_start += wave) {
-    const std::size_t count = std::min(wave, days - wave_start);
-    shards.assign(count, detail::DayShardOutput{});
-    {
-      obs::StageTimer timer(tracer, "day_shards");
-      timer.add_items_in(count);
-      pool.parallel_for(count, [&](std::size_t i) {
-        detail::run_day_shard(internet, config, shared.pools, shared.honeypots,
-                              wave_start + i, shards[i]);
-      });
-      for (const detail::DayShardOutput& shard : shards) {
-        timer.add_items_out(shard.flow_count());
-      }
-      if (tracer != nullptr) {
-        obs::TimelineRecorder* timeline = tracer->timeline();
-        for (const detail::DayShardOutput& shard : shards) {
-          tracer->add_completed(
-              "day_shard", shard.worker,
-              static_cast<std::uint64_t>(shard.end_nanos - shard.begin_nanos),
-              1, 1, shard.flow_count(), 0);
-          if (timeline != nullptr && shard.worker >= 0) {
-            timeline->add_completed_span(
-                static_cast<std::size_t>(shard.worker) + 1, "day_shard",
-                "shard", shard.begin_nanos, shard.end_nanos);
+  summary.market = detail::run_day_waves(
+      internet, config, pool, options.max_inflight_days, tracer,
+      [&](std::size_t first_day, std::span<detail::DayShardOutput> shards) {
+        obs::StageTimer timer(tracer, "drain");
+        std::size_t drained = 0;
+        for (std::size_t i = 0; i < shards.size(); ++i) {
+          detail::DayShardOutput& shard = shards[i];
+          const std::size_t d = first_day + i;
+          drained += shard.flow_count();
+          summary.vantage_flows[flow::kVantageIxp] +=
+              drain_list(batch, sink, flow::kVantageIxp, shard.ixp,
+                         summary.batches);
+          summary.vantage_flows[flow::kVantageTier1] +=
+              drain_list(batch, sink, flow::kVantageTier1, shard.tier1,
+                         summary.batches);
+          summary.vantage_flows[flow::kVantageTier2] +=
+              drain_list(batch, sink, flow::kVantageTier2, shard.tier2,
+                         summary.batches);
+          summary.attack_count += shard.attacks.size();
+          summary.honeypot_observations += shard.honeypot_log.size();
+          if (truth != nullptr) {
+            truth->on_attacks(shard.attacks);
+            truth->on_honeypot_log(shard.honeypot_log);
           }
+          sink.day_complete(static_cast<int>(d),
+                            config.start + util::Duration::days(
+                                               static_cast<std::int64_t>(d)));
+          // Free the shard before draining the next one: the memory bound
+          // is the wave itself, not the whole run.
+          shard = detail::DayShardOutput{};
         }
-      }
-    }
-    {
-      obs::StageTimer timer(tracer, "drain");
-      std::size_t drained = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        detail::DayShardOutput& shard = shards[i];
-        const std::size_t d = wave_start + i;
-        drained += shard.flow_count();
-        summary.vantage_flows[flow::kVantageIxp] +=
-            drain_list(batch, sink, flow::kVantageIxp, shard.ixp,
-                       summary.batches);
-        summary.vantage_flows[flow::kVantageTier1] +=
-            drain_list(batch, sink, flow::kVantageTier1, shard.tier1,
-                       summary.batches);
-        summary.vantage_flows[flow::kVantageTier2] +=
-            drain_list(batch, sink, flow::kVantageTier2, shard.tier2,
-                       summary.batches);
-        summary.attack_count += shard.attacks.size();
-        summary.honeypot_observations += shard.honeypot_log.size();
-        if (truth != nullptr) {
-          truth->on_attacks(shard.attacks);
-          truth->on_honeypot_log(shard.honeypot_log);
-        }
-        sink.day_complete(
-            static_cast<int>(d),
-            config.start + util::Duration::days(static_cast<std::int64_t>(d)));
-        // Free the shard before draining the next one: the memory bound is
-        // the wave itself, not the whole run.
-        shard = detail::DayShardOutput{};
-      }
-      timer.add_items_in(drained);
-      timer.add_items_out(drained);
-    }
-  }
+        timer.add_items_in(drained);
+        timer.add_items_out(drained);
+      });
 
   obs::metrics()
       .counter("booterscope_landscape_attacks_total")

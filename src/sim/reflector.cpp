@@ -39,12 +39,15 @@ std::vector<ReflectorId> ReflectorPool::sample_public(
 
 ReflectorList::ReflectorList(const ReflectorPool& pool, std::uint32_t size,
                              ListPolicy policy, util::Rng rng)
-    : pool_(&pool), policy_(policy), rng_(rng) {
+    : pool_(&pool),
+      policy_(policy),
+      rng_(rng),
+      members_(pool.population(), false) {
   list_.reserve(size);
   for (std::uint32_t i = 0; i < size && i < pool.population(); ++i) {
     ReflectorId id = draw_one();
-    while (members_.contains(id)) id = draw_one();
-    members_.insert(id);
+    while (members_[id]) id = draw_one();
+    members_[id] = true;
     list_.push_back(id);
   }
 }
@@ -65,10 +68,10 @@ void ReflectorList::churn(double fraction) {
     const std::size_t victim = rng_.bounded(list_.size());
     ReflectorId fresh = draw_one();
     int guard = 0;
-    while (members_.contains(fresh) && guard++ < 64) fresh = draw_one();
-    if (members_.contains(fresh)) continue;
-    members_.erase(list_[victim]);
-    members_.insert(fresh);
+    while (members_[fresh] && guard++ < 64) fresh = draw_one();
+    if (members_[fresh]) continue;
+    members_[list_[victim]] = false;
+    members_[fresh] = true;
     list_[victim] = fresh;
   }
 }
@@ -76,13 +79,13 @@ void ReflectorList::churn(double fraction) {
 void ReflectorList::resample() {
   const std::size_t size = list_.size();
   list_.clear();
-  members_.clear();
+  members_.assign(members_.size(), false);
   for (std::size_t i = 0; i < size; ++i) {
     ReflectorId id = draw_one();
     int guard = 0;
-    while (members_.contains(id) && guard++ < 64) id = draw_one();
-    if (members_.contains(id)) continue;
-    members_.insert(id);
+    while (members_[id] && guard++ < 64) id = draw_one();
+    if (members_[id]) continue;
+    members_[id] = true;
     list_.push_back(id);
   }
 }

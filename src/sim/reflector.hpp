@@ -95,7 +95,9 @@ class ReflectorList {
   ListPolicy policy_;
   util::Rng rng_;
   std::vector<ReflectorId> list_;
-  std::unordered_set<ReflectorId> members_;
+  /// Membership bitmap over the pool's ids (at most 25 KB for the default
+  /// 200 k DNS pool), so copying a list at a day is two flat copies.
+  std::vector<bool> members_;
   util::Timestamp last_update_;
   bool initialized_ = false;
   bool jumped_ = false;

@@ -7,16 +7,28 @@
 // — at every expiry boundary, before drain, and (with cached == 0) after
 // drain. The cache is sized small enough that all four export reasons
 // (active timeout, inactive timeout, LRU eviction, drain) actually fire.
+//
+// The generator's own emit accounting is checked too: per vantage,
+//
+//   emits == window_drops + zero_sample_drops + flows
+//
+// over a streaming run, with the same totals at every pool size (each day
+// shard publishes its tallies to the registry once, at its end).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 
+#include "exec/thread_pool.hpp"
+#include "flow/batch.hpp"
 #include "flow/sampler.hpp"
 #include "obs/manifest.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/internet.hpp"
 #include "sim/landscape.hpp"
+#include "sim/landscape_stream.hpp"
 
 namespace booterscope {
 namespace {
@@ -119,6 +131,89 @@ TEST(Conservation, FourteenDayLandscapeReplay) {
   EXPECT_NE(json.find("\"exported_packets_lru_eviction\":"),
             std::string::npos);
   EXPECT_NE(json.find("\"name\":\"landscape\""), std::string::npos);
+}
+
+/// The landscape's per-vantage emit counters, read from the registry.
+struct EmitCounts {
+  std::uint64_t emits = 0;
+  std::uint64_t window_drops = 0;
+  std::uint64_t zero_sample_drops = 0;
+  std::uint64_t flows = 0;
+
+  static EmitCounts read(const char* vantage) {
+    obs::MetricsRegistry& registry = obs::metrics();
+    const obs::Labels labels{{"vantage", vantage}};
+    EmitCounts c;
+    c.emits =
+        registry.counter("booterscope_landscape_emits_total", labels).value();
+    c.window_drops =
+        registry.counter("booterscope_landscape_window_drops_total", labels)
+            .value();
+    c.zero_sample_drops =
+        registry
+            .counter("booterscope_landscape_zero_sample_drops_total", labels)
+            .value();
+    c.flows =
+        registry.counter("booterscope_landscape_flows_total", labels).value();
+    return c;
+  }
+
+  EmitCounts operator-(const EmitCounts& o) const {
+    return {emits - o.emits, window_drops - o.window_drops,
+            zero_sample_drops - o.zero_sample_drops, flows - o.flows};
+  }
+  bool operator==(const EmitCounts&) const = default;
+};
+
+/// Counts delivered rows and nothing else.
+class CountingSink : public flow::FlowBatchSink {
+ public:
+  void consume(std::size_t, const flow::FlowBatchView&) override {}
+};
+
+TEST(Conservation, StreamingEmitAccountingBalancesAtEveryPoolSize) {
+  const sim::Internet internet{sim::InternetConfig{}};
+  sim::LandscapeConfig config = sim::paper_landscape_config();
+  // Starts before the IXP window opens (Oct 27), so window drops fire.
+  config.start = util::Timestamp::parse("2018-10-20").value();
+  config.days = 14;
+  config.attacks_per_day = 60.0;
+
+  constexpr const char* kVantages[] = {"ixp", "tier1", "tier2"};
+  std::array<EmitCounts, 3> first{};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    std::array<EmitCounts, 3> before{};
+    for (std::size_t v = 0; v < 3; ++v) {
+      before[v] = EmitCounts::read(kVantages[v]);
+    }
+    exec::ThreadPool pool(threads);
+    CountingSink sink;
+    const sim::StreamSummary summary =
+        sim::run_landscape_stream(internet, config, pool, sink);
+    for (std::size_t v = 0; v < 3; ++v) {
+      const EmitCounts run = EmitCounts::read(kVantages[v]) - before[v];
+      EXPECT_EQ(run.emits, run.window_drops + run.zero_sample_drops + run.flows)
+          << kVantages[v] << " at pool size " << threads;
+#ifndef BOOTERSCOPE_NO_METRICS
+      EXPECT_EQ(run.flows, summary.vantage_flows[v])
+          << kVantages[v] << " at pool size " << threads;
+#endif
+      if (threads == 1) {
+        first[v] = run;
+#ifndef BOOTERSCOPE_NO_METRICS
+        // Every term of the identity is exercised somewhere.
+        if (v == 0) {
+          EXPECT_GT(run.window_drops, 0U);
+          EXPECT_GT(run.zero_sample_drops, 0U);
+          EXPECT_GT(run.flows, 0U);
+        }
+#endif
+      } else {
+        EXPECT_EQ(run, first[v]) << kVantages[v] << " totals moved with the "
+                                 << "pool size";
+      }
+    }
+  }
 }
 
 }  // namespace
