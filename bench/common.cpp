@@ -266,7 +266,7 @@ sim::LandscapeResult LandscapeWorld::run_timed(LandscapeWorld& world,
   engage_live_plane(world, options);
 
   const std::int64_t t0 = util::monotonic_nanos();
-  sim::LandscapeResult result = sim::run_landscape_parallel(
+  sim::LandscapeResult result = sim::run_landscape(
       world.internet, apply_run_options(sim::paper_landscape_config(), options),
       world.pool, &world.tracer);
   world.run_wall_nanos =

@@ -28,7 +28,6 @@
 #include "sim/booter.hpp"
 #include "sim/internet.hpp"
 #include "sim/landscape.hpp"
-#include "sim/landscape_parallel.hpp"
 #include "sim/landscape_stream.hpp"
 #include "sim/selfattack.hpp"
 #include "util/table.hpp"

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "core/takedown.hpp"
+#include "exec/thread_pool.hpp"
 #include "sim/internet.hpp"
 #include "sim/landscape.hpp"
 #include "util/table.hpp"
@@ -29,6 +30,7 @@ struct Scenario {
 
 int main() {
   const sim::Internet internet{sim::InternetConfig{}};
+  exec::ThreadPool pool;
 
   const Scenario scenarios[] = {
       {"paper: 15 of 30 booters seized", 26, 13},
@@ -46,7 +48,7 @@ int main() {
     config.attacks_per_day = 200.0;
     config.extra_booters = scenario.extra_booters;
     config.extra_seized = scenario.extra_seized;
-    const auto result = sim::run_landscape(internet, config);
+    const auto result = sim::run_landscape(internet, config, pool);
 
     const auto reflector_metrics = core::takedown_metrics(
         core::daily_packets_to_port(result.ixp.store.flows(), net::ports::kNtp,

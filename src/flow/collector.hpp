@@ -114,8 +114,7 @@ struct MapStats {
 /// expire(now) — both return newly exported flows; call drain() at the end.
 ///
 /// Thread-compartmented, not locked: one owner mutates at a time, and
-/// ownership may move between pool tasks (a vantage chain hands its
-/// collector from day-shard to day-shard). Concurrent mutation would
+/// ownership may move between pool tasks. Concurrent mutation would
 /// silently break the conservation invariant above, so the mutating entry
 /// points carry a util::ConcurrencyGuard tripwire that aborts instead.
 class FlowCollector {

@@ -9,7 +9,7 @@
 //   - pool workers append task/steal events into their own lane
 //     (exec::ThreadPool tags each worker thread's lane on startup);
 //   - the driver's StageTimer spans land in lane 0;
-//   - externally-timed spans (day shards, vantage chains) are handed back
+//   - externally-timed spans (day shards) are handed back
 //     sequentially after the pool quiesced via add_completed_span(), the
 //     timeline twin of StageTracer::add_completed — the same
 //     ConcurrencyGuard tripwire enforces the single-owner hand-off.

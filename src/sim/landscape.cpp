@@ -1,13 +1,17 @@
 #include "sim/landscape.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <iterator>
+#include <span>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/landscape_detail.hpp"
+#include "sim/landscape_shard.hpp"
 #include "topo/ixp.hpp"
 #include "util/hash.hpp"
 
@@ -401,7 +405,7 @@ void generate_maintenance_booter_day(Context& ctx, MarketRuntime& market,
                                      std::size_t booter_index,
                                      util::Timestamp day,
                                      std::optional<util::Timestamp> takedown,
-                                     util::Rng& rng) {
+                                     util::Rng rng) {
   const LandscapeConfig& cfg = *ctx.config;
   const Internet& internet = *ctx.internet;
   BooterService& booter = market.services[booter_index];
@@ -541,29 +545,6 @@ void generate_benign_traffic(Context& ctx, const ReflectorPools& pools,
 
 }  // namespace detail
 
-namespace {
-
-using net::AmpVector;
-
-/// Serial maintenance: one RNG stream threaded through every (day, booter)
-/// cell in order, reproducing the pre-refactor draw sequence exactly.
-void generate_maintenance_traffic(detail::Context& ctx,
-                                  detail::MarketRuntime& market,
-                                  std::optional<util::Timestamp> takedown,
-                                  util::Rng rng) {
-  const LandscapeConfig& cfg = *ctx.config;
-  const util::Timestamp end = cfg.start + util::Duration::days(cfg.days);
-  for (util::Timestamp day = cfg.start; day < end;
-       day += util::Duration::days(1)) {
-    for (std::size_t b = 0; b < market.services.size(); ++b) {
-      detail::generate_maintenance_booter_day(ctx, market, b, day, takedown,
-                                              rng);
-    }
-  }
-}
-
-}  // namespace
-
 LandscapeConfig paper_landscape_config() {
   LandscapeConfig config;
   config.start = util::Timestamp::parse("2018-09-30").value();
@@ -583,99 +564,72 @@ LandscapeConfig paper_landscape_config() {
 
 namespace {
 
-/// Flows and bytes appended to the three vantage lists by one stage.
-struct EmitDelta {
-  std::array<std::size_t, 3> offsets;
-
-  explicit EmitDelta(const detail::Context& ctx)
-      : offsets{ctx.ixp_flows.size(), ctx.tier1_flows.size(),
-                ctx.tier2_flows.size()} {}
-
-  void record(const detail::Context& ctx, obs::StageTimer& timer) const {
-    const flow::FlowList* lists[] = {&ctx.ixp_flows, &ctx.tier1_flows,
-                                     &ctx.tier2_flows};
-    std::uint64_t flows = 0;
-    std::uint64_t bytes = 0;
-    for (std::size_t v = 0; v < 3; ++v) {
-      flows += lists[v]->size() - offsets[v];
-      for (std::size_t i = offsets[v]; i < lists[v]->size(); ++i) {
-        bytes += (*lists[v])[i].bytes;
-      }
-    }
-    timer.add_items_out(flows);
-    timer.add_bytes(bytes);
-  }
-};
+void append(flow::FlowList& out, flow::FlowList&& in) {
+  out.insert(out.end(), std::make_move_iterator(in.begin()),
+             std::make_move_iterator(in.end()));
+}
 
 }  // namespace
 
 LandscapeResult run_landscape(const Internet& internet,
                               const LandscapeConfig& config,
+                              exec::ThreadPool& pool,
                               obs::StageTracer* tracer) {
   obs::StageTimer landscape_timer(tracer, "landscape");
   LandscapeResult result;
   result.config = config;
 
-  util::Rng rng(config.seed);
-  detail::ReflectorPools pools = detail::build_pools(config);
-
-  util::Rng market_rng = rng.fork("market");
-  detail::MarketRuntime market =
-      detail::build_market(internet, config, pools, market_rng);
-  result.market = market.profiles;
-
-  const HoneypotDeployment honeypots =
-      config.honeypots_per_vector > 0
-          ? HoneypotDeployment(pools, config.honeypots_per_vector,
-                               config.honeypot_public_share,
-                               rng.fork("honeypots"))
-          : HoneypotDeployment();
-
-  const util::Timestamp end = config.start + util::Duration::days(config.days);
-  detail::PathTable paths(internet);
-  detail::Context ctx(internet, config, paths, rng.fork("context"));
-  {
-    obs::StageTimer timer(tracer, "attack_traffic");
-    const EmitDelta delta(ctx);
-    detail::generate_attack_traffic(ctx, market, pools, honeypots,
-                                    config.start, end, end,
-                                    ctx.rng.fork("attacks"), result.attacks,
-                                    result.honeypot_log);
-    timer.add_items_in(result.attacks.size());
-    delta.record(ctx, timer);
-  }
-  {
-    obs::StageTimer timer(tracer, "maintenance_traffic");
-    const EmitDelta delta(ctx);
-    generate_maintenance_traffic(ctx, market, config.takedown,
-                                 ctx.rng.fork("maintenance"));
-    delta.record(ctx, timer);
-  }
-  {
-    obs::StageTimer timer(tracer, "benign_traffic");
-    const EmitDelta delta(ctx);
-    detail::generate_benign_traffic(ctx, pools, config.start, end,
-                                    ctx.rng.fork("benign"));
-    delta.record(ctx, timer);
-  }
-  ctx.publish();
-  obs::metrics()
-      .counter("booterscope_landscape_attacks_total")
-      .add(result.attacks.size());
+  // Waves bound the market copies held at once; the shards themselves
+  // are all kept for the day-order merge below.
+  std::vector<detail::DayShardOutput> shards(
+      static_cast<std::size_t>(config.days));
+  result.market = detail::run_day_waves(
+      internet, config, pool, 0, tracer,
+      [&](std::size_t first_day, std::span<detail::DayShardOutput> wave) {
+        std::move(wave.begin(), wave.end(),
+                  shards.begin() + static_cast<std::ptrdiff_t>(first_day));
+      });
 
   {
-    obs::StageTimer timer(tracer, "store_build");
-    timer.add_items_in(ctx.ixp_flows.size() + ctx.tier1_flows.size() +
-                       ctx.tier2_flows.size());
-    result.ixp.store = flow::FlowStore{std::move(ctx.ixp_flows)};
+    obs::StageTimer timer(tracer, "merge");
+    flow::FlowList ixp;
+    flow::FlowList tier1;
+    flow::FlowList tier2;
+    std::size_t totals[3] = {0, 0, 0};
+    for (const detail::DayShardOutput& shard : shards) {
+      totals[0] += shard.ixp.size();
+      totals[1] += shard.tier1.size();
+      totals[2] += shard.tier2.size();
+    }
+    ixp.reserve(totals[0]);
+    tier1.reserve(totals[1]);
+    tier2.reserve(totals[2]);
+    // Day order, regardless of which worker finished when.
+    for (detail::DayShardOutput& shard : shards) {
+      append(ixp, std::move(shard.ixp));
+      append(tier1, std::move(shard.tier1));
+      append(tier2, std::move(shard.tier2));
+      result.attacks.insert(result.attacks.end(),
+                            std::make_move_iterator(shard.attacks.begin()),
+                            std::make_move_iterator(shard.attacks.end()));
+      result.honeypot_log.insert(
+          result.honeypot_log.end(),
+          std::make_move_iterator(shard.honeypot_log.begin()),
+          std::make_move_iterator(shard.honeypot_log.end()));
+    }
+    timer.add_items_in(totals[0] + totals[1] + totals[2]);
+    result.ixp.store = flow::FlowStore{std::move(ixp)};
     result.ixp.sampling_rate = config.ixp_sampling;
-    result.tier1.store = flow::FlowStore{std::move(ctx.tier1_flows)};
+    result.tier1.store = flow::FlowStore{std::move(tier1)};
     result.tier1.sampling_rate = config.tier1_sampling;
-    result.tier2.store = flow::FlowStore{std::move(ctx.tier2_flows)};
+    result.tier2.store = flow::FlowStore{std::move(tier2)};
     result.tier2.sampling_rate = config.tier2_sampling;
     timer.add_items_out(result.ixp.store.size() + result.tier1.store.size() +
                         result.tier2.store.size());
   }
+  obs::metrics()
+      .counter("booterscope_landscape_attacks_total")
+      .add(result.attacks.size());
   return result;
 }
 

@@ -23,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "flow/store.hpp"
 #include "net/protocol.hpp"
 #include "obs/trace.hpp"
@@ -180,12 +181,18 @@ struct LandscapeResult {
   std::vector<HoneypotObservation> honeypot_log;
 };
 
-/// Runs the full simulation. Deterministic for a given config. When a
-/// `tracer` is passed, the generation stages (attack / maintenance / benign
-/// traffic, store build) are timed into it with item and byte counts;
+/// Runs the full simulation, sharded by day over `pool`, and materializes
+/// it. Every shard derives its randomness with util::Rng::split(seed,
+/// label, day) — a pure function of the master seed and the day index,
+/// never of thread identity — and the shards are merged in day order, so
+/// the result is byte-identical for every pool size, including 1 (DESIGN.md
+/// §9). It is the same realization run_landscape_stream delivers batch by
+/// batch. When a `tracer` is passed, the "landscape" span and its day-shard
+/// and merge stages are timed into it with per-worker attribution;
 /// per-vantage emit/drop counters always go to the global obs registry.
 [[nodiscard]] LandscapeResult run_landscape(const Internet& internet,
                                             const LandscapeConfig& config,
+                                            exec::ThreadPool& pool,
                                             obs::StageTracer* tracer = nullptr);
 
 /// Config with the paper's study window (Sep 30 2018 - Jan 30 2019,

@@ -1,13 +1,11 @@
-// Internal machinery shared by the serial (landscape.cpp) and sharded
-// (landscape_shard.cpp) landscape drivers. Not part of the public surface:
-// include only from sim/*.cpp and from tests that pin the drivers' state.
+// Internal machinery of the day-sharded landscape engine
+// (landscape_shard.cpp). Not part of the public surface: include only from
+// sim/*.cpp and from tests that pin the engine's state.
 //
 // The generation primitives are parameterized by a [from, to) time range
-// and an explicit Rng so that
-//   - the serial driver calls them once over the whole study window with
-//     fork()-derived streams (bit-identical to the pre-refactor code), and
-//   - the sharded drivers call them per day shard with counter-based
-//     Rng::split streams, making the output independent of thread count.
+// and an explicit Rng: each day shard calls them over its one day with
+// counter-based Rng::split streams, which makes the output independent of
+// thread count.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +39,8 @@ struct PathView {
 /// Vantage visibility of every (src, dst) AS pair, filled lazily: a dense
 /// table over the Internet's AS pairs (273² entries, about 2 MB by
 /// default). `classify` is pure, so a table's content never depends on
-/// which shard filled it; the sharded drivers keep one table per wave slot
-/// and reuse it across waves, and a table is never shared between threads.
+/// which shard filled it; the engine keeps one table per wave slot and
+/// reuses it across waves, and a table is never shared between threads.
 class PathTable {
  public:
   explicit PathTable(const Internet& internet);
@@ -89,12 +87,10 @@ struct VantageTally {
   void publish(const char* vantage) const;
 };
 
-/// Mutable generation context: flow sinks, the path table and the sampling
-/// RNG. The serial driver owns one for the whole run; the sharded drivers
-/// make one per day shard (with a split()-derived rng). Emit accounting
-/// stays in plain tallies until `publish`, which the owner calls once when
-/// the context is done, so the registry's counters move in steps of one
-/// context.
+/// Mutable generation context of one day shard: flow sinks, the path table
+/// and the shard's split()-derived sampling RNG. Emit accounting stays in
+/// plain tallies until `publish`, which the shard calls once when it is
+/// done, so the registry's counters move in steps of one day.
 struct Context {
   const Internet* internet;
   const LandscapeConfig* config;
@@ -144,8 +140,8 @@ using ReflectorPools = std::unordered_map<net::AmpVector, ReflectorPool>;
 
 /// Builds the booter market (profiles, live services, backend hosts) from
 /// `market_rng`. Deterministic: every caller that feeds an identically
-/// seeded rng gets an identical market. The sharded drivers build it once
-/// per run and advance that one replica in day order.
+/// seeded rng gets an identical market. The engine builds it once per run
+/// and advances that one replica in day order.
 [[nodiscard]] MarketRuntime build_market(const Internet& internet,
                                          const LandscapeConfig& config,
                                          const ReflectorPools& pools,
@@ -160,8 +156,7 @@ using ReflectorPools = std::unordered_map<net::AmpVector, ReflectorPool>;
 
 /// Attack + trigger traffic for launches in [from, to). `horizon` caps the
 /// per-minute emission loop (attacks running past the study window stop
-/// there). The serial driver passes the whole window; the parallel driver
-/// passes one day and a split("attacks", day) stream.
+/// there). A day shard passes its day and a split("attacks", day) stream.
 void generate_attack_traffic(Context& ctx, MarketRuntime& market,
                              const ReflectorPools& pools,
                              const HoneypotDeployment& honeypots,
@@ -170,16 +165,14 @@ void generate_attack_traffic(Context& ctx, MarketRuntime& market,
                              std::vector<AttackRecord>& ground_truth,
                              std::vector<HoneypotObservation>& honeypot_log);
 
-/// Reflector-maintenance traffic of one (booter, day) cell — the unit the
-/// parallel driver assigns its per-(day, booter) RNG streams to. `rng` is
-/// taken by reference: the serial wrapper threads one stream through all
-/// cells in (day, booter) order, which reproduces the pre-refactor draw
-/// sequence exactly.
+/// Reflector-maintenance traffic of one (booter, day) cell, drawn from
+/// that cell's own split("maintenance", cell) stream. `market` is the
+/// shard's copy at `day`, so the booter polls its list as of that day.
 void generate_maintenance_booter_day(Context& ctx, MarketRuntime& market,
                                      std::size_t booter_index,
                                      util::Timestamp day,
                                      std::optional<util::Timestamp> takedown,
-                                     util::Rng& rng);
+                                     util::Rng rng);
 
 /// Benign baseline + scanner traffic for days in [from, to).
 void generate_benign_traffic(Context& ctx, const ReflectorPools& pools,

@@ -36,11 +36,10 @@ void run_day_shard(const Internet& internet, const LandscapeConfig& config,
   for (std::size_t b = 0; b < market.services.size(); ++b) {
     // Per-(day, booter) stream: the cell index packs both so adding a
     // booter never shifts another cell's stream.
-    util::Rng cell =
+    generate_maintenance_booter_day(
+        ctx, market, b, day, config.takedown,
         util::Rng::split(config.seed, "maintenance",
-                         (static_cast<std::uint64_t>(d) << 16) | b);
-    generate_maintenance_booter_day(ctx, market, b, day, config.takedown,
-                                    cell);
+                         (static_cast<std::uint64_t>(d) << 16) | b));
   }
   generate_benign_traffic(ctx, pools, day, next,
                           util::Rng::split(config.seed, "benign", d));
@@ -62,8 +61,8 @@ std::vector<BooterProfile> run_day_waves(const Internet& internet,
                                          obs::StageTracer* tracer,
                                          const WaveHandler& on_wave) {
   if (wave == 0) wave = std::max<std::size_t>(1, pool.size() * 2);
-  // Same fork sequence as the serial driver: the market first, then the
-  // honeypots.
+  // The market and the honeypots come from fork()ed streams of the master
+  // seed, in that order: the realization depends on the sequence.
   const ReflectorPools pools = build_pools(config);
   util::Rng rng(config.seed);
   util::Rng market_rng = rng.fork("market");

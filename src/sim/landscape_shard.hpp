@@ -1,10 +1,11 @@
-// The day-shard wave loop shared by the materialized parallel driver
-// (landscape_parallel.cpp) and the streaming driver (landscape_stream.cpp).
+// The day-shard wave loop behind both landscape drivers: run_landscape
+// (landscape.cpp), which materializes the run, and run_landscape_stream
+// (landscape_stream.cpp), which drains it.
 //
 // Both drivers run the same loop over day indices; only what happens to a
 // finished wave differs (keep the shards for a merge into FlowStores vs
 // drain them into a FlowBatchSink and free). Keeping the loop and the shard
-// body in one place is the byte-identity argument between the two engines:
+// body in one place is the byte-identity argument between the two drivers:
 // identical inputs, one implementation, identical flows.
 #pragma once
 

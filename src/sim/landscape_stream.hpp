@@ -1,6 +1,6 @@
 // Streaming one-pass landscape driver (DESIGN.md §14).
 //
-// Runs the same day shards as run_landscape_parallel but never materializes
+// Runs the same day shards as run_landscape but never materializes
 // the run: shards are scheduled in bounded waves of ~2x the pool size, and
 // each finished wave is drained — in day order, vantage-major within a day
 // (IXP, tier-1, tier-2) — into a FlowBatchSink as fixed-size columnar
@@ -8,9 +8,9 @@
 // run length, which is what lets --attacks-per-day climb from 300 toward
 // the paper's inferred ~20 000.
 //
-// Byte-identity with the materialized engine: the shard body is shared
+// Byte-identity with the materialized driver: the shard body is shared
 // (sim/landscape_shard.hpp) and the drain order equals the merge order of
-// run_landscape_parallel, so a sink that scans rows in delivery order sees
+// run_landscape, so a sink that scans rows in delivery order sees
 // exactly the sequence a serial scan of the merged FlowStores would. The
 // determinism contract (split-RNG per shard, day-order delivery) holds at
 // any pool size and any batch capacity.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/thread_pool.hpp"
 #include "sim/internet.hpp"
 #include "sim/landscape.hpp"
 
@@ -133,7 +134,8 @@ TEST(HoneypotPipeline, EndToEndOnSimulatedLandscape) {
   config.takedown = std::nullopt;
   config.attacks_per_day = 60.0;
   config.honeypots_per_vector = 1'500;
-  const auto result = sim::run_landscape(internet, config);
+  exec::ThreadPool pool(4);
+  const auto result = sim::run_landscape(internet, config, pool);
   ASSERT_FALSE(result.honeypot_log.empty());
 
   const auto attacks = group_observations(result.honeypot_log);
@@ -174,7 +176,8 @@ TEST(HoneypotPipeline, DisabledByDefault) {
   config.days = 3;
   config.takedown = std::nullopt;
   config.attacks_per_day = 30.0;
-  const auto result = sim::run_landscape(internet, config);
+  exec::ThreadPool pool(4);
+  const auto result = sim::run_landscape(internet, config, pool);
   EXPECT_TRUE(result.honeypot_log.empty());
 }
 

@@ -49,7 +49,8 @@ TEST(Conservation, FourteenDayLandscapeReplay) {
   config.attacks_per_day = 60.0;  // keeps the test under a second
 
   obs::StageTracer tracer;
-  const auto landscape = sim::run_landscape(internet, config, &tracer);
+  exec::ThreadPool pool(4);
+  const auto landscape = sim::run_landscape(internet, config, pool, &tracer);
   ASSERT_FALSE(landscape.ixp.store.empty());
 
   // Replay the IXP export chronologically as packet observations.

@@ -23,7 +23,6 @@
 #include "sim/internet.hpp"
 #include "sim/landscape.hpp"
 #include "sim/landscape_detail.hpp"
-#include "sim/landscape_parallel.hpp"
 #include "sim/landscape_stream.hpp"
 
 namespace booterscope {
@@ -115,7 +114,7 @@ std::uint64_t materialized_digest(const sim::Internet& internet,
                                   std::size_t threads) {
   exec::ThreadPool pool(threads);
   const sim::LandscapeResult result =
-      sim::run_landscape_parallel(internet, config, pool);
+      sim::run_landscape(internet, config, pool);
   DigestSink sink;
   const flow::FlowStore* stores[] = {&result.ixp.store, &result.tier1.store,
                                      &result.tier2.store};
@@ -152,7 +151,7 @@ void expect_pinned(const sim::Internet& internet,
         << "run_landscape_stream at pool size " << threads;
   }
   EXPECT_EQ(hex(materialized_digest(internet, config, 3)), hex(pinned))
-      << "run_landscape_parallel";
+      << "run_landscape";
 }
 
 TEST(GeneratorDigest, ThirtyDaysAtPaperDensitySeed7) {

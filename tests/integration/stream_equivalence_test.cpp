@@ -15,7 +15,6 @@
 #include "fault/fault.hpp"
 #include "flow/batch.hpp"
 #include "net/protocol.hpp"
-#include "sim/landscape_parallel.hpp"
 #include "sim/landscape_stream.hpp"
 #include "stats/welch.hpp"
 #include "exec/thread_pool.hpp"
@@ -40,7 +39,7 @@ sim::LandscapeConfig tiny_config() {
 }
 
 /// The materialized reference, computed once: the merged per-vantage
-/// FlowStores of run_landscape_parallel (byte-identical at any pool size
+/// FlowStores of run_landscape (byte-identical at any pool size
 /// by its own contract, so one pool size suffices as the reference).
 struct Reference {
   sim::LandscapeConfig config;
@@ -53,7 +52,7 @@ const Reference& reference() {
     r.config = tiny_config();
     const sim::Internet internet{sim::InternetConfig{}};
     exec::ThreadPool pool(4);
-    r.result = sim::run_landscape_parallel(internet, r.config, pool);
+    r.result = sim::run_landscape(internet, r.config, pool);
     return r;
   }();
   return ref;

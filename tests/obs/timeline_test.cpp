@@ -198,8 +198,8 @@ TEST(Timeline, MergeIsByteIdenticalAcrossPoolSizes) {
 // Off-thread attribution hand-off: spans merged into the aggregate tree
 // with StageTracer::add_completed land under the stage that was current at
 // hand-off time, and their timeline twins land in the executing worker's
-// lane — the exact pattern the parallel drivers (day shards, vantage
-// chains) use after the pool quiesces.
+// lane — the exact pattern the landscape drivers' day shards use after the
+// pool quiesces.
 TEST(Timeline, AddCompletedAttributionMatchesTracerAndLane) {
   StageTracer tracer;
   TimelineRecorder recorder(4);

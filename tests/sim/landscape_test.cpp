@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/takedown.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace booterscope::sim {
 namespace {
@@ -26,17 +29,22 @@ class LandscapeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     internet_ = new Internet(InternetConfig{});
-    result_ = new LandscapeResult(run_landscape(*internet_, small_config()));
+    pool_ = new exec::ThreadPool(4);
+    result_ = new LandscapeResult(
+        run_landscape(*internet_, small_config(), *pool_));
   }
   static void TearDownTestSuite() {
     delete result_;
+    delete pool_;
     delete internet_;
   }
   static Internet* internet_;
+  static exec::ThreadPool* pool_;
   static LandscapeResult* result_;
 };
 
 Internet* LandscapeTest::internet_ = nullptr;
+exec::ThreadPool* LandscapeTest::pool_ = nullptr;
 LandscapeResult* LandscapeTest::result_ = nullptr;
 
 TEST_F(LandscapeTest, ProducesTrafficAtAllVantagePoints) {
@@ -121,14 +129,40 @@ TEST_F(LandscapeTest, TakedownCutsReflectorBoundNtpTraffic) {
   EXPECT_GT(metrics.wt30.reduction, 0.1);
 }
 
-TEST_F(LandscapeTest, VictimBoundTrafficUnaffected) {
-  const Timestamp takedown = *result_->config.takedown;
-  const auto daily = core::daily_packets_from_reflectors(
-      result_->ixp.store.flows(), {}, result_->config.start,
-      result_->config.days);
-  const auto metrics = core::takedown_metrics(daily, takedown);
-  EXPECT_FALSE(metrics.wt30.significant);
-  EXPECT_FALSE(metrics.wt40.significant);
+TEST_F(LandscapeTest, VictimBoundTrafficRarelyRejectsAcrossSeeds) {
+  // One seed's verdict is a coin with a ~10% false-reject rate (the
+  // no-takedown twin measured about 9% against the nominal 5%), so the
+  // paper's contrast is checked as a rate over seeds 1-12: victim-bound
+  // traffic rejects (wt30 or wt40 significant) in at most 3 of them —
+  // P(>= 4 of 12 | 10%) is about 0.026 — and reflector-bound NTP traffic
+  // rejects at wt30 in every one.
+  constexpr std::uint64_t kSeeds = 12;
+  constexpr std::uint64_t kMaxVictimRejects = 3;
+  std::uint64_t victim_rejects = 0;
+  std::ostringstream verdicts;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    LandscapeConfig config = small_config();
+    config.seed = seed;
+    const LandscapeResult result = run_landscape(*internet_, config, *pool_);
+    const auto victim = core::takedown_metrics(
+        core::daily_packets_from_reflectors(result.ixp.store.flows(), {},
+                                            config.start, config.days),
+        *config.takedown);
+    const auto reflector = core::takedown_metrics(
+        core::daily_packets_to_port(result.ixp.store.flows(),
+                                    net::ports::kNtp, config.start,
+                                    config.days),
+        *config.takedown);
+    verdicts << "seed " << seed
+             << ": victim wt30 p=" << victim.wt30.welch.p_value_greater
+             << " wt40 p=" << victim.wt40.welch.p_value_greater
+             << ", reflector NTP wt30 p="
+             << reflector.wt30.welch.p_value_greater << "\n";
+    if (victim.wt30.significant || victim.wt40.significant) ++victim_rejects;
+    EXPECT_TRUE(reflector.wt30.significant)
+        << "reflector-bound NTP did not reject at seed " << seed;
+  }
+  EXPECT_LE(victim_rejects, kMaxVictimRejects) << verdicts.str();
 }
 
 TEST_F(LandscapeTest, NtpSourcePortTrafficIsBimodal) {
@@ -155,7 +189,8 @@ TEST_F(LandscapeTest, NtpSourcePortTrafficIsBimodal) {
 }
 
 TEST_F(LandscapeTest, DeterministicForSameSeed) {
-  const LandscapeResult again = run_landscape(*internet_, small_config());
+  const LandscapeResult again =
+      run_landscape(*internet_, small_config(), *pool_);
   EXPECT_EQ(again.ixp.store.size(), result_->ixp.store.size());
   EXPECT_EQ(again.attacks.size(), result_->attacks.size());
   ASSERT_FALSE(again.ixp.store.empty());
@@ -166,7 +201,7 @@ TEST_F(LandscapeTest, DeterministicForSameSeed) {
 TEST_F(LandscapeTest, SeedChangesOutput) {
   LandscapeConfig other = small_config();
   other.seed = 999;
-  const LandscapeResult again = run_landscape(*internet_, other);
+  const LandscapeResult again = run_landscape(*internet_, other, *pool_);
   EXPECT_NE(again.ixp.store.size(), result_->ixp.store.size());
 }
 
@@ -180,7 +215,8 @@ TEST(LandscapeWindows, VantageWindowsFilterExports) {
   config.tier1_window = LandscapeConfig::Window{
       Timestamp::parse("2018-11-10").value(),
       Timestamp::parse("2018-11-20").value()};
-  const auto result = run_landscape(internet, config);
+  exec::ThreadPool pool(4);
+  const auto result = run_landscape(internet, config, pool);
   ASSERT_FALSE(result.tier1.store.empty());
   for (const auto& f : result.tier1.store.flows()) {
     ASSERT_GE(f.first, config.tier1_window->start);
