@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "flow/batch.hpp"
 #include "flow/record.hpp"
 #include "net/five_tuple.hpp"
 #include "obs/metrics.hpp"
@@ -90,10 +89,10 @@ struct CollectorStats {
 };
 
 /// Hot-path shape of the five-tuple cache, the committed before-picture
-/// for the flat-table rewrite (ROADMAP item 2): how loaded the map is, how
-/// long its worst chain got, how often the bucket array grew, and how full
-/// the streaming drain batches ran. Bucket numbers are an on-demand scan
-/// (observer cadence); the counters accumulate per collector instance.
+/// for the flat-table rewrite: how loaded the map is, how long its worst
+/// chain got and how often the bucket array grew. Bucket numbers are an
+/// on-demand scan (observer cadence); the rehash counter accumulates per
+/// collector instance.
 struct MapStats {
   std::size_t entries = 0;
   std::size_t bucket_count = 0;
@@ -102,10 +101,6 @@ struct MapStats {
   std::size_t max_bucket_entries = 0;
   /// Bucket-array growth events observed since construction.
   std::uint64_t rehashes = 0;
-  /// Streaming drain delivery: fill = drain_rows / drain_capacity_rows.
-  std::uint64_t drain_batches = 0;
-  std::uint64_t drain_rows = 0;
-  std::uint64_t drain_capacity_rows = 0;
 };
 
 /// Aggregates packets into flow records.
@@ -133,19 +128,10 @@ class FlowCollector {
   /// order — never in hash-map iteration order.
   void drain(FlowList& out);
 
-  /// Streaming variants: identical export order and accounting, but flows
-  /// are delivered to `sink` as fixed-size columnar batches (tagged with
-  /// `vantage`) instead of appended to a FlowList, so the caller's resident
-  /// set stays bounded by the cache, not the run.
-  void expire(util::Timestamp now, FlowBatchSink& sink, std::size_t vantage,
-              std::size_t batch_flows = FlowBatch::kDefaultCapacity);
-  void drain(FlowBatchSink& sink, std::size_t vantage,
-             std::size_t batch_flows = FlowBatch::kDefaultCapacity);
-
   [[nodiscard]] std::size_t active_flows() const noexcept { return cache_.size(); }
   [[nodiscard]] const CollectorStats& stats() const noexcept { return stats_; }
 
-  /// Current cache shape + accumulated rehash/drain counters. The bucket
+  /// Current cache shape + accumulated rehash counter. The bucket
   /// scan is O(bucket_count) — observer cadence, not per packet.
   [[nodiscard]] MapStats map_stats() const;
   [[nodiscard]] std::uint64_t exported_flows() const noexcept {
@@ -164,8 +150,6 @@ class FlowCollector {
   void export_entry(const Entry& entry, ExportReason reason, FlowList& out);
   void update_cache_gauge() noexcept;
   void note_rehash_if_grown() noexcept;
-  void account_drain_batches(std::uint64_t rows,
-                             std::size_t batch_flows) noexcept;
   void publish_bucket_shape() noexcept;
 
   CollectorConfig config_;
@@ -174,9 +158,6 @@ class FlowCollector {
   // Micro-metric accumulators behind map_stats(); see MapStats.
   std::size_t last_bucket_count_ = 0;
   std::uint64_t rehashes_ = 0;
-  std::uint64_t drain_batches_ = 0;
-  std::uint64_t drain_rows_ = 0;
-  std::uint64_t drain_capacity_rows_ = 0;
   util::ConcurrencyGuard guard_;
   // Global registry series shared by all collector instances; resolved once
   // at construction so the per-packet cost is one relaxed atomic add.
@@ -192,10 +173,6 @@ class FlowCollector {
   obs::Gauge* map_bucket_count_metric_;
   obs::Gauge* map_occupied_buckets_metric_;
   obs::Gauge* map_max_bucket_entries_metric_;
-  obs::Counter* drain_batches_metric_;
-  obs::Counter* drain_rows_metric_;
-  obs::Counter* drain_capacity_rows_metric_;
-  obs::Gauge* drain_batch_fill_metric_;
 };
 
 }  // namespace booterscope::flow

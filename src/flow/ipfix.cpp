@@ -1,6 +1,5 @@
 #include "flow/ipfix.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/byteio.hpp"
@@ -171,8 +170,7 @@ void MessageDecoder::cache_template(const TemplateKey& key, Template tmpl) {
     it->second = std::move(tmpl);  // refresh in place, keep FIFO position
     return;
   }
-  while (options_.max_templates > 0 &&
-         templates_.size() >= options_.max_templates &&
+  while (max_templates_ > 0 && templates_.size() >= max_templates_ &&
          !template_order_.empty()) {
     templates_.erase(template_order_.front());
     template_order_.pop_front();
@@ -184,18 +182,6 @@ void MessageDecoder::cache_template(const TemplateKey& key, Template tmpl) {
   }
   templates_.emplace(key, std::move(tmpl));
   template_order_.push_back(key);
-}
-
-bool MessageDecoder::is_duplicate(std::uint32_t domain,
-                                  std::uint32_t sequence) {
-  std::deque<std::uint32_t>& recent = recent_sequences_[domain];
-  if (std::find(recent.begin(), recent.end(), sequence) != recent.end()) {
-    ++duplicates_rejected_;
-    return true;
-  }
-  recent.push_back(sequence);
-  while (recent.size() > options_.dedup_window) recent.pop_front();
-  return false;
 }
 
 util::Result<MessageDecoder::Message> MessageDecoder::decode(
@@ -221,11 +207,6 @@ util::Result<MessageDecoder::Message> MessageDecoder::decode(
   result.export_time = util::Timestamp::from_seconds(r.u32());
   result.sequence = r.u32();
   result.observation_domain = r.u32();
-  if (options_.dedup_sequences &&
-      is_duplicate(result.observation_domain, result.sequence)) {
-    obs::count_decode_failure("ipfix", util::DecodeError::kDuplicateSequence);
-    return util::DecodeError::kDuplicateSequence;
-  }
 
   // A message that declares more bytes than the buffer holds was truncated
   // in flight: clamp and salvage the whole sets/records that did arrive.
@@ -351,52 +332,6 @@ util::Result<MessageDecoder::Message> MessageDecoder::decode(
   (void)stopped_early;
   obs::count_decode_damage("ipfix", result.damage);
   return result;
-}
-
-util::Result<MessageDecoder::StreamSummary> MessageDecoder::decode_stream(
-    std::span<const std::uint8_t> data, FlowBatchSink& sink,
-    std::size_t batch_flows, util::DecodeDamage* damage) {
-  StreamSummary summary;
-  FlowBatcher batcher(sink, 0, batch_flows);
-  util::DecodeDamage local_damage;
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const std::span<const std::uint8_t> rest = data.subspan(offset);
-    if (rest.size() < kMessageHeaderBytes) {
-      // Trailing bytes too short for a header: framing damage, not fatal
-      // for the rows already delivered (unless nothing was).
-      if (summary.messages == 0) {
-        batcher.flush();
-        return util::DecodeError::kTruncatedHeader;
-      }
-      local_damage.note(util::DecodeError::kTruncatedHeader);
-      break;
-    }
-    // The message header's explicit length (big-endian, bytes 2..3) frames
-    // the stream; it covers the header itself.
-    const std::size_t declared =
-        (static_cast<std::size_t>(rest[2]) << 8) | rest[3];
-    const std::size_t length =
-        std::min(std::max(declared, kMessageHeaderBytes), rest.size());
-    const auto result = decode(rest.first(length));
-    if (!result.has_value()) {
-      if (summary.messages == 0) {
-        batcher.flush();
-        return result.error();
-      }
-      local_damage.note(result.error());
-      break;
-    }
-    const Message& message = result.value();
-    ++summary.messages;
-    for (const FlowRecord& f : message.records) batcher.push(f);
-    summary.records += message.records.size();
-    local_damage.merge(message.damage);
-    offset += length;
-  }
-  batcher.flush();
-  if (damage != nullptr) damage->merge(local_damage);
-  return summary;
 }
 
 }  // namespace booterscope::flow::ipfix

@@ -15,8 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "flow/batch.hpp"
-#include "flow/decode_options.hpp"
 #include "flow/record.hpp"
 #include "util/result.hpp"
 
@@ -71,16 +69,18 @@ inline constexpr std::size_t kMessageHeaderBytes = 16;
     std::span<const FlowRecord> flows, std::uint32_t observation_domain,
     std::uint32_t sequence, util::Timestamp export_time);
 
-/// Stateful decoder: caches templates (bounded, FIFO eviction) per
-/// observation domain and decodes data sets that reference them. Fatal only
-/// on unusable framing (truncated/short header, wrong version) or — when
-/// enabled — a duplicate export sequence; a truncated message body, a
+/// Stateful decoder: caches templates per observation domain and decodes
+/// data sets that reference them. The cache holds at most `max_templates`
+/// entries (FIFO eviction; 0 = unbounded): an exporter under fault injection
+/// can announce unbounded fresh template ids. Fatal only on unusable framing
+/// (truncated/short header, wrong version); a truncated message body, a
 /// malformed template or an unknown data set degrades instead: whole records
-/// are salvaged and the defects tallied in the message's `damage`.
+/// are salvaged and the defects tallied in the message's `damage`. Sequence
+/// numbers are reported, not deduplicated — svc::ExporterSession owns dedup.
 class MessageDecoder {
  public:
-  explicit MessageDecoder(DecoderOptions options = {}) noexcept
-      : options_(options) {}
+  explicit MessageDecoder(std::size_t max_templates = 256) noexcept
+      : max_templates_(max_templates) {}
 
   struct Message {
     util::Timestamp export_time;
@@ -92,35 +92,13 @@ class MessageDecoder {
     /// Recoverable defects skipped while decoding this message.
     util::DecodeDamage damage;
   };
-  using Result = Message;  // pre-Result-taxonomy name
-
   [[nodiscard]] util::Result<Message> decode(std::span<const std::uint8_t> data);
-
-  /// Totals of one streaming multi-message decode.
-  struct StreamSummary {
-    std::uint64_t messages = 0;  // messages decoded
-    std::uint64_t records = 0;   // rows delivered to the sink
-  };
-
-  /// Decodes a back-to-back sequence of IPFIX messages (framed by each
-  /// header's explicit length field), delivering every record to `sink`
-  /// (vantage 0) as fixed-size columnar batches; only one message is ever
-  /// materialized. Template state carries across messages as usual. A fatal
-  /// first message is a fatal result; later framing damage stops the decode
-  /// with the defect recorded in `damage`.
-  [[nodiscard]] util::Result<StreamSummary> decode_stream(
-      std::span<const std::uint8_t> data, FlowBatchSink& sink,
-      std::size_t batch_flows = FlowBatch::kDefaultCapacity,
-      util::DecodeDamage* damage = nullptr);
 
   [[nodiscard]] std::size_t cached_template_count() const noexcept {
     return templates_.size();
   }
   [[nodiscard]] std::uint64_t templates_evicted() const noexcept {
     return templates_evicted_;
-  }
-  [[nodiscard]] std::uint64_t duplicates_rejected() const noexcept {
-    return duplicates_rejected_;
   }
 
  private:
@@ -137,15 +115,11 @@ class MessageDecoder {
 
   /// Caches `tmpl`, evicting the oldest cached template when full.
   void cache_template(const TemplateKey& key, Template tmpl);
-  /// True when (domain, sequence) was already seen; records it otherwise.
-  [[nodiscard]] bool is_duplicate(std::uint32_t domain, std::uint32_t sequence);
 
-  DecoderOptions options_;
+  std::size_t max_templates_;
   std::unordered_map<TemplateKey, Template, TemplateKeyHash> templates_;
   std::deque<TemplateKey> template_order_;  // FIFO eviction order
-  std::unordered_map<std::uint32_t, std::deque<std::uint32_t>> recent_sequences_;
   std::uint64_t templates_evicted_ = 0;
-  std::uint64_t duplicates_rejected_ = 0;
 };
 
 }  // namespace booterscope::flow::ipfix

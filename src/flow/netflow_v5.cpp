@@ -146,43 +146,6 @@ util::Result<NetflowV5Packet> decode_netflow_v5(
   return packet;
 }
 
-util::Result<NetflowV5StreamSummary> decode_netflow_v5_stream(
-    std::span<const std::uint8_t> data, util::Timestamp boot_time,
-    FlowBatchSink& sink, std::size_t batch_flows, util::DecodeDamage* damage) {
-  NetflowV5StreamSummary summary;
-  FlowBatcher batcher(sink, 0, batch_flows);
-  util::DecodeDamage local_damage;
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const auto result = decode_netflow_v5(data.subspan(offset), boot_time);
-    if (!result.has_value()) {
-      // A fatal header on the very first PDU means the input is not a v5
-      // stream at all; afterwards it means trailing garbage, which the
-      // damage tally records without failing the rows already delivered.
-      if (summary.packets == 0) return result.error();
-      local_damage.note(result.error());
-      break;
-    }
-    const NetflowV5Packet& packet = result.value();
-    ++summary.packets;
-    for (const FlowRecord& f : packet.records) batcher.push(f);
-    summary.records += packet.records.size();
-    local_damage.merge(packet.damage);
-    if (!packet.damage.clean()) {
-      // A salvaged-short PDU consumed an unknowable number of bytes; the
-      // framing of everything after it is lost, so stop rather than emit
-      // records decoded from a misaligned boundary.
-      break;
-    }
-    offset += kNetflowV5HeaderBytes +
-              static_cast<std::size_t>(packet.records.size()) *
-                  kNetflowV5RecordBytes;
-  }
-  batcher.flush();
-  if (damage != nullptr) damage->merge(local_damage);
-  return summary;
-}
-
 std::optional<std::vector<std::uint8_t>> NetflowV5Exporter::add(
     const FlowRecord& flow, util::Timestamp now) {
   pending_.push_back(flow);

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "flow/batch.hpp"
 #include "flow/record.hpp"
 #include "util/result.hpp"
 #include "util/time.hpp"
@@ -61,25 +60,6 @@ struct NetflowV5Packet {
 /// the shortfall recorded in the packet's `damage`.
 [[nodiscard]] util::Result<NetflowV5Packet> decode_netflow_v5(
     std::span<const std::uint8_t> data, util::Timestamp boot_time);
-
-/// Totals of one streaming multi-PDU decode.
-struct NetflowV5StreamSummary {
-  std::uint64_t packets = 0;  // PDUs decoded
-  std::uint64_t records = 0;  // rows delivered to the sink
-};
-
-/// Decodes a back-to-back sequence of v5 PDUs (a capture of an export
-/// stream), delivering every record to `sink` (vantage 0) as fixed-size
-/// columnar batches — the concatenated FlowList is never materialized; the
-/// only scratch is one PDU (<= 30 records). A damaged PDU (salvaged short)
-/// loses the framing of everything after it, so the decode stops there,
-/// recording the defect in `damage`; a fatal first header is a fatal
-/// result as in decode_netflow_v5.
-[[nodiscard]] util::Result<NetflowV5StreamSummary> decode_netflow_v5_stream(
-    std::span<const std::uint8_t> data, util::Timestamp boot_time,
-    FlowBatchSink& sink,
-    std::size_t batch_flows = FlowBatch::kDefaultCapacity,
-    util::DecodeDamage* damage = nullptr);
 
 /// Streaming exporter: buffers flows and emits full PDUs, maintaining the
 /// flow_sequence counter across packets.

@@ -201,17 +201,6 @@ std::string PerfLedger::to_json() const {
     out += ",\"map_max_bucket_entries\":" +
            json_number(micro.map_max_bucket_entries);
     out += ",\"map_rehashes\":" + json_number(micro.map_rehashes);
-    out += ",\"drain_batches\":" + json_number(micro.drain_batches);
-    out += ",\"drain_rows\":" + json_number(micro.drain_rows);
-    out += ",\"drain_capacity_rows\":" +
-           json_number(micro.drain_capacity_rows);
-    // null, not 1.0 or 0.0, when nothing batch-drained: an unmeasured fill
-    // must stay distinguishable from a real one.
-    out += ",\"drain_batch_fill\":" +
-           (micro.drain_capacity_rows > 0
-                ? json_number(static_cast<double>(micro.drain_rows) /
-                              static_cast<double>(micro.drain_capacity_rows))
-                : std::string("null"));
     out.push_back('}');
   }
   if (has_resource_series_) {

@@ -145,18 +145,14 @@ class PerfLedger {
 
   /// FlowCollector hot-path micro-metrics (the before-picture for the
   /// five-tuple table rewrite). Bucket-shape numbers describe the most
-  /// recently drained collector; counters aggregate across collectors.
-  /// `drain_batch_fill` serializes as rows/capacity, or null when nothing
-  /// batch-drained (0 capacity is "no measurement", not a perfect fill).
+  /// recently drained collector; the rehash counter aggregates across
+  /// collectors.
   struct FlowMicro {
     double map_load_factor = 0.0;
     std::uint64_t map_bucket_count = 0;
     std::uint64_t map_occupied_buckets = 0;
     std::uint64_t map_max_bucket_entries = 0;
     std::uint64_t map_rehashes = 0;
-    std::uint64_t drain_batches = 0;
-    std::uint64_t drain_rows = 0;
-    std::uint64_t drain_capacity_rows = 0;
   };
   void set_flow_micro(FlowMicro micro) noexcept {
     flow_micro_ = micro;

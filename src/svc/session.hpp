@@ -16,10 +16,10 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "flow/decode_options.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/record.hpp"
 #include "util/backoff.hpp"
@@ -28,9 +28,6 @@
 namespace booterscope::svc {
 
 struct SessionConfig {
-  /// Decoder knobs; dedup on by default — a live UDP path re-delivers.
-  flow::DecoderOptions decoder{
-      .max_templates = 64, .dedup_sequences = true, .dedup_window = 64};
   /// Packet outcomes remembered for health scoring.
   std::size_t health_window = 32;
   /// Fatal decodes within the window that trigger quarantine.
@@ -105,7 +102,11 @@ class ExporterSession {
   SessionConfig config_;
   util::Backoff backoff_;
   flow::ipfix::MessageDecoder ipfix_;
+  /// Recent export sequences: one window for the exporter's v5 stream, one
+  /// per IPFIX observation domain.
   std::deque<std::uint32_t> v5_recent_sequences_;
+  std::unordered_map<std::uint32_t, std::deque<std::uint32_t>>
+      ipfix_recent_sequences_;
   std::deque<bool> window_;  // true = fatal decode
   std::size_t window_failures_ = 0;
   bool quarantined_ = false;

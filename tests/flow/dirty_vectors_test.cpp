@@ -1,5 +1,5 @@
-// Golden dirty-telemetry vectors: hand-mangled NetFlow v5 / v9, IPFIX,
-// pcap and BSF1 inputs, one family per defect class. Each scenario is a
+// Golden dirty-telemetry vectors: hand-mangled NetFlow v5, IPFIX, pcap
+// and BSF1 inputs, plus replays through an exporter session, one family per defect class. Each scenario is a
 // plain function so the aggregate check can re-run every vector in one
 // process (ctest runs each TEST in isolation) and assert the suite
 // exercises every DecodeError variant at least once — a new variant cannot
@@ -9,12 +9,11 @@
 #include <set>
 #include <vector>
 
-#include "flow/decode_options.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v5.hpp"
-#include "flow/netflow_v9.hpp"
 #include "flow/store.hpp"
 #include "pcap/pcap_file.hpp"
+#include "svc/session.hpp"
 #include "util/byteio.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
@@ -58,16 +57,6 @@ std::vector<std::uint8_t> v5_pdu(int flows_count, util::Rng& rng) {
   return flow::encode_netflow_v5(flows, config, 1, kBoot + Duration::hours(1));
 }
 
-std::vector<std::uint8_t> v9_packet(int flows_count, util::Rng& rng,
-                                    std::uint32_t sequence = 0) {
-  flow::v9::ExportConfig config;
-  config.boot_time = kBoot;
-  config.source_id = 5;
-  flow::FlowList flows;
-  for (int i = 0; i < flows_count; ++i) flows.push_back(sample_flow(rng));
-  return flow::v9::encode_v9(flows, config, sequence, kBoot + Duration::hours(1));
-}
-
 std::vector<std::uint8_t> ipfix_message(int flows_count, util::Rng& rng,
                                         std::uint32_t sequence = 0) {
   flow::FlowList flows;
@@ -84,13 +73,6 @@ void run_truncated_headers(ErrorSet& seen) {
   ASSERT_FALSE(v5_result.has_value());
   EXPECT_EQ(v5_result.error(), DecodeError::kTruncatedHeader);
   seen.insert(v5_result.error());
-
-  auto v9 = v9_packet(1, rng);
-  v9.resize(19);
-  flow::v9::Decoder v9_decoder(kBoot);
-  const auto v9_result = v9_decoder.decode(v9);
-  ASSERT_FALSE(v9_result.has_value());
-  EXPECT_EQ(v9_result.error(), DecodeError::kTruncatedHeader);
 
   auto ipfix = ipfix_message(1, rng);
   ipfix.resize(15);
@@ -150,69 +132,26 @@ void run_v5_count_overclaim(ErrorSet& seen) {
   note_damage(seen, result->damage);
 }
 
-void run_v9_bad_set_length(ErrorSet& seen) {
-  std::vector<std::uint8_t> bytes;
-  util::ByteWriter w(bytes);
-  w.u16(flow::v9::kVersion);
-  w.u16(1);  // count
-  w.u32(0);  // sys_uptime
-  w.u32(static_cast<std::uint32_t>(kBoot.seconds()));
-  w.u32(0);  // sequence
-  w.u32(5);  // source id
-  w.u16(flow::v9::kTemplateFlowsetId);
-  w.u16(2);  // flowset length < 4: cannot even hold itself
-  flow::v9::Decoder decoder(kBoot);
-  const auto result = decoder.decode(bytes);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->records.empty());
-  EXPECT_GT(result->damage.count(DecodeError::kBadSetLength), 0u);
-  note_damage(seen, result->damage);
-}
-
-void run_v9_bad_template(ErrorSet& seen) {
-  util::Rng rng(5);
-  // A zero-field template (id 300); the decoder resyncs and a subsequent
-  // valid packet decodes cleanly through the same decoder.
-  std::vector<std::uint8_t> bytes;
-  util::ByteWriter w(bytes);
-  w.u16(flow::v9::kVersion);
-  w.u16(1);
-  w.u32(0);
-  w.u32(static_cast<std::uint32_t>(kBoot.seconds()));
-  w.u32(0);
-  w.u32(5);
-  w.u16(flow::v9::kTemplateFlowsetId);
-  w.u16(8);    // just the template header, no fields
-  w.u16(300);  // template id
-  w.u16(0);    // zero fields: malformed
-  flow::v9::Decoder decoder(kBoot);
-  const auto bad = decoder.decode(bytes);
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_GT(bad->damage.count(DecodeError::kBadTemplate), 0u);
-  note_damage(seen, bad->damage);
-
-  const auto good = decoder.decode(v9_packet(3, rng));
-  ASSERT_TRUE(good.has_value());
-  EXPECT_EQ(good->records.size(), 3u);
-  EXPECT_TRUE(good->damage.clean());
-}
-
-void run_v9_unknown_template(ErrorSet& seen) {
+void run_ipfix_unknown_template(ErrorSet& seen) {
   util::Rng rng(6);
-  auto packet = v9_packet(1, rng);
-  // Strip the template flowset; the data flowset's template is unknown.
+  const auto message = ipfix_message(1, rng);
+  // Strip the template set; the data set's template was never announced.
   const std::size_t template_length =
-      (static_cast<std::size_t>(packet[22]) << 8) | packet[23];
-  std::vector<std::uint8_t> data_only(packet.begin(),
-                                      packet.begin() + flow::v9::kHeaderBytes);
+      (static_cast<std::size_t>(message[18]) << 8) | message[19];
+  std::vector<std::uint8_t> data_only(
+      message.begin(), message.begin() + flow::ipfix::kMessageHeaderBytes);
   data_only.insert(data_only.end(),
-                   packet.begin() + static_cast<std::ptrdiff_t>(
-                                        flow::v9::kHeaderBytes + template_length),
-                   packet.end());
-  flow::v9::Decoder decoder(kBoot);
+                   message.begin() + static_cast<std::ptrdiff_t>(
+                                         flow::ipfix::kMessageHeaderBytes +
+                                         template_length),
+                   message.end());
+  util::ByteWriter(data_only).patch_u16(
+      2, static_cast<std::uint16_t>(data_only.size()));
+  flow::ipfix::MessageDecoder decoder;
   const auto result = decoder.decode(data_only);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->records.empty());
+  EXPECT_EQ(result->skipped_sets, 1u);
   EXPECT_GT(result->damage.count(DecodeError::kUnknownTemplate), 0u);
   note_damage(seen, result->damage);
 }
@@ -230,6 +169,7 @@ void run_ipfix_truncation(ErrorSet& seen) {
 }
 
 void run_ipfix_bad_sets(ErrorSet& seen) {
+  util::Rng rng(5);
   std::vector<std::uint8_t> bytes;
   util::ByteWriter w(bytes);
   w.u16(flow::ipfix::kIpfixVersion);
@@ -267,48 +207,48 @@ void run_ipfix_bad_sets(ErrorSet& seen) {
   ASSERT_TRUE(bad.has_value());
   EXPECT_GT(bad->damage.count(DecodeError::kBadTemplate), 0u);
   note_damage(seen, bad->damage);
+
+  // The decoder resyncs: a valid message through it decodes cleanly.
+  const auto good = decoder.decode(ipfix_message(3, rng));
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->records.size(), 3u);
+  EXPECT_TRUE(good->damage.clean());
 }
 
 void run_sequence_dedup(ErrorSet& seen) {
   util::Rng rng(8);
-  const auto v9 = v9_packet(1, rng, 41);
-
-  // Default decoders accept replays (stateless replay tooling relies on it).
-  flow::v9::Decoder lax(kBoot);
-  EXPECT_TRUE(lax.decode(v9).has_value());
-  EXPECT_TRUE(lax.decode(v9).has_value());
-  EXPECT_EQ(lax.duplicates_rejected(), 0u);
-
-  flow::DecoderOptions strict_options;
-  strict_options.dedup_sequences = true;
-  flow::v9::Decoder strict(kBoot, 1, strict_options);
-  EXPECT_TRUE(strict.decode(v9).has_value());
-  const auto dup = strict.decode(v9);
-  ASSERT_FALSE(dup.has_value());
-  EXPECT_EQ(dup.error(), DecodeError::kDuplicateSequence);
-  EXPECT_EQ(strict.duplicates_rejected(), 1u);
-  seen.insert(dup.error());
-
   const auto ipfix = ipfix_message(1, rng, 99);
-  flow::ipfix::MessageDecoder strict_ipfix(strict_options);
-  EXPECT_TRUE(strict_ipfix.decode(ipfix).has_value());
-  const auto ipfix_dup = strict_ipfix.decode(ipfix);
-  ASSERT_FALSE(ipfix_dup.has_value());
-  EXPECT_EQ(ipfix_dup.error(), DecodeError::kDuplicateSequence);
+
+  // A bare decoder accepts replays (stateless replay tooling relies on it).
+  flow::ipfix::MessageDecoder decoder;
+  EXPECT_TRUE(decoder.decode(ipfix).has_value());
+  EXPECT_TRUE(decoder.decode(ipfix).has_value());
+
+  // An exporter session rejects the re-delivered message.
+  svc::SessionConfig config;
+  config.v5_boot_time = kBoot;
+  svc::ExporterSession session(0, config);
+  EXPECT_EQ(session.ingest(ipfix, 0).outcome, svc::PacketOutcome::kClean);
+  const svc::IngestResult dup = session.ingest(ipfix, 1);
+  EXPECT_EQ(dup.outcome, svc::PacketOutcome::kFailed);
+  EXPECT_EQ(dup.error, DecodeError::kDuplicateSequence);
+  EXPECT_EQ(session.tally().failed, 1u);
+  seen.insert(dup.error);
+
+  const auto v5 = v5_pdu(1, rng);
+  EXPECT_EQ(session.ingest(v5, 2).outcome, svc::PacketOutcome::kClean);
+  EXPECT_EQ(session.ingest(v5, 3).error, DecodeError::kDuplicateSequence);
+  EXPECT_TRUE(session.tally().balanced());
 }
 
 void run_bounded_template_cache() {
   util::Rng rng(9);
-  flow::DecoderOptions options;
-  options.max_templates = 2;
-  flow::v9::Decoder decoder(kBoot, 1, options);
-  for (std::uint32_t source = 0; source < 4; ++source) {
-    flow::v9::ExportConfig config;
-    config.boot_time = kBoot;
-    config.source_id = source;
+  flow::ipfix::MessageDecoder decoder(/*max_templates=*/2);
+  for (std::uint32_t domain = 0; domain < 4; ++domain) {
     const flow::FlowList flows = {sample_flow(rng)};
-    ASSERT_TRUE(
-        decoder.decode(flow::v9::encode_v9(flows, config, 0, kBoot)).has_value());
+    ASSERT_TRUE(decoder
+                    .decode(flow::ipfix::encode_message(flows, domain, 0, kBoot))
+                    .has_value());
   }
   EXPECT_LE(decoder.cached_template_count(), 2u);
   EXPECT_EQ(decoder.templates_evicted(), 2u);
@@ -354,17 +294,9 @@ TEST(DirtyVectors, V5CountOverclaimSalvagesPrefix) {
   ErrorSet seen;
   run_v5_count_overclaim(seen);
 }
-TEST(DirtyVectors, V9BadSetLengthStopsCleanly) {
+TEST(DirtyVectors, IpfixUnknownTemplateSkipsData) {
   ErrorSet seen;
-  run_v9_bad_set_length(seen);
-}
-TEST(DirtyVectors, V9BadTemplateResyncsToNextFlowset) {
-  ErrorSet seen;
-  run_v9_bad_template(seen);
-}
-TEST(DirtyVectors, V9UnknownTemplateSkipsData) {
-  ErrorSet seen;
-  run_v9_unknown_template(seen);
+  run_ipfix_unknown_template(seen);
 }
 TEST(DirtyVectors, IpfixTruncationYieldsOverflowAndTruncatedRecord) {
   ErrorSet seen;
@@ -394,9 +326,7 @@ TEST(DirtyVectors, EveryDecodeErrorVariantExercised) {
   run_wrong_versions(seen);
   run_bad_magic(seen);
   run_v5_count_overclaim(seen);
-  run_v9_bad_set_length(seen);
-  run_v9_bad_template(seen);
-  run_v9_unknown_template(seen);
+  run_ipfix_unknown_template(seen);
   run_ipfix_truncation(seen);
   run_ipfix_bad_sets(seen);
   run_sequence_dedup(seen);

@@ -171,66 +171,5 @@ TEST(Ipfix, CanonicalTemplateCoversFlowRecord) {
   EXPECT_EQ(tmpl.record_bytes(), 4u + 4 + 2 + 2 + 1 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 1 + 4);
 }
 
-TEST(Ipfix, StreamDecodeMatchesPerMessageDecode) {
-  util::Rng rng(11);
-  const Timestamp t = Timestamp::parse("2018-12-19").value();
-  // Three messages of different sizes back to back, framed only by each
-  // header's length field. Template state must carry across them.
-  std::vector<std::uint8_t> capture;
-  FlowList expected;
-  std::uint32_t sequence = 0;
-  for (const int count : {40, 1, 9}) {
-    FlowList flows;
-    for (int i = 0; i < count; ++i) flows.push_back(make_flow(rng));
-    const auto message = encode_message(flows, 9, sequence++, t);
-    capture.insert(capture.end(), message.begin(), message.end());
-    expected.insert(expected.end(), flows.begin(), flows.end());
-  }
-
-  MessageDecoder decoder;
-  CollectingSink sink;
-  const auto summary = decoder.decode_stream(capture, sink, 16);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->messages, 3u);
-  EXPECT_EQ(summary->records, expected.size());
-  EXPECT_EQ(sink.flows(0), expected);
-}
-
-TEST(Ipfix, StreamDecodeSalvagesTruncatedTail) {
-  util::Rng rng(12);
-  const Timestamp t = Timestamp::parse("2018-12-19").value();
-  const FlowList flows = {make_flow(rng), make_flow(rng)};
-  const auto first = encode_message(flows, 9, 0, t);
-  const FlowList one = {flows[0]};
-  auto second = encode_message(one, 9, 1, t);
-  second.resize(second.size() - 4);  // cuts into its only data record
-
-  std::vector<std::uint8_t> capture(first);
-  capture.insert(capture.end(), second.begin(), second.end());
-  MessageDecoder decoder;
-  CollectingSink sink;
-  util::DecodeDamage damage;
-  const auto summary = decoder.decode_stream(capture, sink, 16, &damage);
-  ASSERT_TRUE(summary.has_value());
-  // The intact first message is delivered; the truncated tail salvages to
-  // zero records, with the defect recorded in the damage tally.
-  EXPECT_EQ(sink.flows(0), flows);
-  EXPECT_EQ(summary->records, flows.size());
-  EXPECT_FALSE(damage.clean());
-}
-
-TEST(Ipfix, StreamDecodeRejectsFatalFirstMessage) {
-  util::Rng rng(13);
-  const FlowList flows = {make_flow(rng)};
-  auto message =
-      encode_message(flows, 9, 0, Timestamp::parse("2018-12-19").value());
-  message[1] = 0x05;  // wrong version
-  MessageDecoder decoder;
-  CollectingSink sink;
-  const auto summary = decoder.decode_stream(message, sink);
-  ASSERT_FALSE(summary.has_value());
-  EXPECT_TRUE(sink.flows(0).empty());
-}
-
 }  // namespace
 }  // namespace booterscope::flow::ipfix

@@ -1,18 +1,14 @@
 // Fuzz the stateful IPFIX message decoder; two passes per input exercise
-// the template cache and sequence-dedup state like a real export stream.
+// the template cache like a real export stream.
 #include <span>
 
-#include "flow/decode_options.hpp"
 #include "flow/ipfix.hpp"
 #include "fuzz_driver.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   using namespace booterscope;
-  flow::DecoderOptions options;
-  options.max_templates = 4;
-  options.dedup_sequences = true;
-  flow::ipfix::MessageDecoder decoder(options);
+  flow::ipfix::MessageDecoder decoder(/*max_templates=*/4);
   const std::span<const std::uint8_t> bytes(data, size);
   for (int pass = 0; pass < 2; ++pass) {
     const auto result = decoder.decode(bytes);

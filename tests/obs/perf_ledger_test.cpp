@@ -252,7 +252,7 @@ TEST(PerfLedger, NoHwCountersBlockWhenNeverSet) {
   EXPECT_EQ(ledger.to_json().find("hw_counters"), std::string::npos);
 }
 
-TEST(PerfLedger, FlowMicroSerializesFillRatioOrNull) {
+TEST(PerfLedger, FlowMicroSerializesMapShape) {
   PerfLedger ledger("bench_unit");
   PerfLedger::FlowMicro micro;
   micro.map_load_factor = 0.75;
@@ -260,29 +260,15 @@ TEST(PerfLedger, FlowMicroSerializesFillRatioOrNull) {
   micro.map_occupied_buckets = 40;
   micro.map_max_bucket_entries = 3;
   micro.map_rehashes = 2;
-  micro.drain_batches = 3;
-  micro.drain_rows = 10;
-  micro.drain_capacity_rows = 12;
   ledger.set_flow_micro(micro);
   ASSERT_TRUE(ledger.has_flow_micro());
 
-  std::string json = ledger.to_json();
-  EXPECT_NE(json.find("\"flow_micro\":{\"map_load_factor\":0.75"),
+  const std::string json = ledger.to_json();
+  EXPECT_NE(json.find("\"flow_micro\":{\"map_load_factor\":0.75,"
+                      "\"map_bucket_count\":64,\"map_occupied_buckets\":40,"
+                      "\"map_max_bucket_entries\":3,\"map_rehashes\":2}"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"map_rehashes\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"drain_batch_fill\":0.8333333333333334"),
-            std::string::npos)
-      << json;
-
-  // Nothing batch-drained: fill is null (unmeasured), never 0.0 or 1.0.
-  PerfLedger empty_drain("bench_unit");
-  micro.drain_batches = 0;
-  micro.drain_rows = 0;
-  micro.drain_capacity_rows = 0;
-  empty_drain.set_flow_micro(micro);
-  json = empty_drain.to_json();
-  EXPECT_NE(json.find("\"drain_batch_fill\":null"), std::string::npos) << json;
 
   PerfLedger bare("bench_unit");
   EXPECT_FALSE(bare.has_flow_micro());

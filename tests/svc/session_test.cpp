@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "flow/batch.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v5.hpp"
 #include "flow/record.hpp"
@@ -98,6 +99,41 @@ TEST(ExporterSession, DuplicateV5SequenceIsFailedNotDoubleCounted) {
   EXPECT_EQ(dup.error, util::DecodeError::kDuplicateSequence);
   EXPECT_TRUE(dup.records.empty());
   EXPECT_EQ(session.tally().failed, 1u);
+  EXPECT_TRUE(session.tally().balanced());
+}
+
+TEST(ExporterSession, IpfixSequencesAreDedupedPerObservationDomain) {
+  ExporterSession session(6, test_config());
+  const std::vector<flow::FlowRecord> flows = {test_flow(0)};
+  const auto domain_1 =
+      flow::ipfix::encode_message(flows, 1, /*sequence=*/42, flows[0].last);
+  const auto domain_2 =
+      flow::ipfix::encode_message(flows, 2, /*sequence=*/42, flows[0].last);
+
+  // One sequence number in two domains is two distinct messages.
+  EXPECT_EQ(session.ingest(domain_1, 0).outcome, PacketOutcome::kClean);
+  EXPECT_EQ(session.ingest(domain_2, kMs).outcome, PacketOutcome::kClean);
+  // A repeat within one domain is a re-delivery.
+  const IngestResult dup = session.ingest(domain_1, 2 * kMs);
+  EXPECT_EQ(dup.outcome, PacketOutcome::kFailed);
+  EXPECT_EQ(dup.error, util::DecodeError::kDuplicateSequence);
+  EXPECT_TRUE(dup.records.empty());
+  EXPECT_EQ(session.tally().decoded_clean, 2u);
+  EXPECT_EQ(session.tally().failed, 1u);
+  EXPECT_TRUE(session.tally().balanced());
+}
+
+TEST(ExporterSession, TruncatedIpfixHeaderIsNeverADuplicate) {
+  ExporterSession session(7, test_config());
+  const std::vector<flow::FlowRecord> flows = {test_flow(0)};
+  auto packet = flow::ipfix::encode_message(flows, 1, 5, flows[0].last);
+  packet.resize(flow::ipfix::kMessageHeaderBytes - 1);
+
+  for (int i = 0; i < 2; ++i) {
+    const IngestResult result = session.ingest(packet, i * kMs);
+    EXPECT_EQ(result.outcome, PacketOutcome::kFailed);
+    EXPECT_EQ(result.error, util::DecodeError::kTruncatedHeader) << i;
+  }
   EXPECT_TRUE(session.tally().balanced());
 }
 
