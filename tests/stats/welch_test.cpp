@@ -73,6 +73,46 @@ TEST(Welch, HandComputedExample) {
   EXPECT_NEAR(result.p_value_two_sided, 2 * result.p_value_greater, 1e-12);
 }
 
+/// Two samples of `n` values each (n even), alternating ±1 around their
+/// means, with the means `t` standard errors apart: Welch's t is `t`, and
+/// equal sizes and variances make df = 2(n - 1).
+WelchResult welch_at(double t, int n) {
+  const double variance = n / (n - 1.0);
+  const double gap = t * std::sqrt(2.0 * variance / n);
+  RunningStats before;
+  RunningStats after;
+  for (int i = 0; i < n; ++i) {
+    const double deviation = i % 2 == 0 ? 1.0 : -1.0;
+    before.add(gap + deviation);
+    after.add(deviation);
+  }
+  return welch_t_test_from_stats(before, after);
+}
+
+TEST(Welch, FarTailPValuesKeepTheirRelativePrecision) {
+  // Exact upper tails from mpmath at 50 digits. 1 - cdf cancels here: the
+  // first row came out exactly 0, the second with relative error 1.5e-6.
+  struct Row {
+    double t;
+    int n;  // per sample; df = 2(n - 1)
+    double exact;
+  };
+  const Row rows[] = {{35.4, 30, 2.845844426929983e-41},
+                      {8.0, 30, 3.062345782119425e-11},
+                      {10.0, 16, 2.2876257041148085e-11}};
+  for (const Row& row : rows) {
+    const WelchResult result = welch_at(row.t, row.n);
+    EXPECT_NEAR(result.degrees_of_freedom, 2.0 * (row.n - 1), 1e-9);
+    EXPECT_NEAR(result.p_value_greater / row.exact, 1.0, 1e-12) << row.t;
+    EXPECT_NEAR(result.p_value_two_sided / (2.0 * row.exact), 1.0, 1e-12)
+        << row.t;
+    const WelchResult reversed = welch_at(-row.t, row.n);
+    EXPECT_NEAR(reversed.p_value_greater, 1.0 - row.exact, 1e-15) << row.t;
+    EXPECT_NEAR(reversed.p_value_two_sided / (2.0 * row.exact), 1.0, 1e-12)
+        << row.t;
+  }
+}
+
 TEST(Welch, NoFalsePositiveOnIdenticalDistributions) {
   util::Rng rng(123);
   int significant = 0;
