@@ -35,6 +35,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "svc/daemon.hpp"
+#include "svc/session.hpp"
 #include "svc/udp.hpp"
 #include "util/cli.hpp"
 
@@ -43,6 +44,19 @@ using namespace booterscope;
 namespace {
 
 constexpr std::size_t kFlowsPerPacket = 30;
+
+/// A faulted run adds one flapping exporter: every kFlapPeriod datagrams it
+/// sends a burst of undecodable ones, four more than it takes to trip
+/// quarantine and still inside one health window, so a burst that finds it
+/// admitted trips quarantine. Channel faults alone quarantine an exporter
+/// only at some run lengths.
+constexpr std::size_t kFlapPeriod = 1000;
+const std::size_t kFlapBurst = svc::SessionConfig{}.quarantine_threshold + 4;
+
+/// An IPFIX version field on a datagram shorter than the IPFIX header: a
+/// fatal decode for every session that receives it.
+const std::vector<std::uint8_t> kGarbage = {0x00, 0x0a, 0x00, 0x08,
+                                            0xde, 0xad, 0xbe, 0xef};
 
 /// One simulated exporter: encodes its share of a vantage's flows and
 /// mangles the result through its own PacketChannel.
@@ -224,6 +238,22 @@ int main(int argc, char** argv) {
 
   // ---- packet schedule: merge flows, stripe, encode, mangle ------------
   std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> schedule;
+  // The flapper's bursts cross no channel: the ledger counts them as
+  // offered at the daemon.
+  const std::uint64_t flapper_id = exporters.size();
+  std::uint64_t unchanneled = 0;
+  std::size_t since_flap = 0;
+  const auto append = [&](std::uint64_t exporter,
+                          std::vector<std::uint8_t> packet) {
+    schedule.emplace_back(exporter, std::move(packet));
+    if (profile->enabled() && ++since_flap == kFlapPeriod) {
+      since_flap = 0;
+      for (std::size_t i = 0; i < kFlapBurst; ++i) {
+        schedule.emplace_back(flapper_id, kGarbage);
+      }
+      unchanneled += kFlapBurst;
+    }
+  };
   std::vector<std::vector<std::uint8_t>> scratch;
   MergeCursor cursor{{&sorted[0], &sorted[1], &sorted[2]}};
   while (const auto v = cursor.next_vantage()) {
@@ -232,16 +262,12 @@ int main(int argc, char** argv) {
     round_robin[*v] = (round_robin[*v] + 1) % per_vantage;
     Exporter& exporter = exporters[slot];
     exporter.add(flow, scratch);
-    for (auto& packet : scratch) {
-      schedule.emplace_back(exporter.id, std::move(packet));
-    }
+    for (auto& packet : scratch) append(exporter.id, std::move(packet));
     scratch.clear();
   }
   for (Exporter& exporter : exporters) {
     exporter.finish(scratch);
-    for (auto& packet : scratch) {
-      schedule.emplace_back(exporter.id, std::move(packet));
-    }
+    for (auto& packet : scratch) append(exporter.id, std::move(packet));
     scratch.clear();
   }
   std::printf("bench_soak: %zu packets from %zu exporters (profile %s)\n",
@@ -250,10 +276,10 @@ int main(int argc, char** argv) {
 
   // ---- replay mode: aim the schedule at an external daemon -------------
   if (options.target_port > 0) {
-    // One socket per exporter: the daemon keys sessions by source
-    // addr:port, so distinct sockets are what make the live path see
-    // distinct exporters (and quarantine them independently).
-    std::vector<svc::UdpSender> senders(exporters.size());
+    // One socket per exporter, the flapper included: the daemon keys
+    // sessions by source addr:port, so distinct sockets are what make the
+    // live path see distinct exporters (and quarantine them independently).
+    std::vector<svc::UdpSender> senders(flapper_id + 1);
     for (auto& sender : senders) {
       if (!sender.open(static_cast<std::uint16_t>(options.target_port))) {
         std::fprintf(stderr, "bench_soak: cannot open UDP to port %d\n",
@@ -269,7 +295,7 @@ int main(int argc, char** argv) {
     while (std::chrono::steady_clock::now() < deadline) {
       for (const auto& [exporter, packet] : schedule) {
         if (std::chrono::steady_clock::now() >= deadline) break;
-        if (senders[exporter % senders.size()].send(packet)) ++sent;
+        if (senders[exporter].send(packet)) ++sent;
         if (gap.count() > 0) std::this_thread::sleep_for(gap);
       }
     }
@@ -311,6 +337,7 @@ int main(int argc, char** argv) {
   for (const Exporter& exporter : exporters) {
     combined.note_channel(exporter.channel.stats());
   }
+  combined.offered += unchanneled;
   fault::IntegrityTally daemon_tally = daemon.merged_tally();
   const bool daemon_balanced = daemon_tally.balanced();
   // The daemon's `offered` is the channels' `delivered`: zero it before the
