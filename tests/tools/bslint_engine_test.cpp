@@ -1,5 +1,5 @@
 // Engine suite for bslint v2: golden fixture *trees* for the
-// interprocedural rules (BS008–BS011), the determinism contract (byte-
+// interprocedural rules (BS008–BS012), the determinism contract (byte-
 // identical reports at any thread count and across cold/warm cache runs),
 // cache correctness (an edit re-indexes only the edited file), CLI exit
 // codes, and the SARIF renderer. Drives lint_tree_full()/run_cli()
@@ -110,6 +110,31 @@ TEST(BslintTrees, Bs011BadFiresExactlyOnceOnTheDiscardedResult) {
 TEST(BslintTrees, Bs011CleanTwinIsClean) {
   const TreeRun run = lint_tree_fixture("bs011_clean");
   EXPECT_TRUE(run.findings.empty()) << render_report(run.findings, false);
+}
+
+TEST(BslintTrees, Bs012BadFiresExactlyOnceOnTheTestOnlyHeader) {
+  const TreeRun run = lint_tree_full(trees_root() + "/bs012_bad",
+                                     {"src", "examples"}, TreeOptions{});
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  const auto findings = rule_findings(run, "BS012");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].path, "src/flow/orphan.hpp");
+  EXPECT_EQ(findings[0].line, 1u);
+  EXPECT_NE(findings[0].message.find("unused module"), std::string::npos);
+  EXPECT_EQ(run.findings.size(), 1u) << render_report(run.findings, false);
+}
+
+TEST(BslintTrees, Bs012CleanTwinIsClean) {
+  const TreeRun run = lint_tree_full(trees_root() + "/bs012_clean",
+                                     {"src", "examples"}, TreeOptions{});
+  EXPECT_TRUE(run.findings.empty()) << render_report(run.findings, false);
+}
+
+TEST(BslintTrees, Bs012StaysSilentWithNoProgramInView) {
+  // Linting src/ alone cannot see the programs that call its headers.
+  const TreeRun run = lint_tree_fixture("bs012_bad");
+  EXPECT_TRUE(rule_findings(run, "BS012").empty())
+      << render_report(run.findings, false);
 }
 
 // --- determinism: thread counts ---------------------------------------------

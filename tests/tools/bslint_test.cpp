@@ -30,9 +30,9 @@ std::vector<Finding> lint_fixture(const std::string& fixture,
   return lint_file({lint_path, read_fixture(fixture), ""});
 }
 
-TEST(BslintRules, TableHasElevenRulesOrderedById) {
+TEST(BslintRules, TableHasTwelveRulesOrderedById) {
   const std::vector<RuleInfo>& table = rules();
-  ASSERT_EQ(table.size(), 11u);
+  ASSERT_EQ(table.size(), 12u);
   for (std::size_t i = 0; i < table.size(); ++i) {
     char expected[16];
     std::snprintf(expected, sizeof expected, "BS%03u",

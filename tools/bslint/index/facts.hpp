@@ -1,7 +1,7 @@
 // Per-file fact schema for the project-wide rules, plus the cache
 // serialization.
 //
-// One FileFacts holds everything the interprocedural rules (BS008–BS011)
+// One FileFacts holds everything the interprocedural rules (BS008–BS012)
 // need from a translation unit — #include sites, function definitions and
 // declarations with their calls / throw sites / lock-acquisition order,
 // util::Mutex declarations, statement-expression calls whose value is

@@ -87,6 +87,11 @@ const std::vector<RuleInfo> kRules = {
      "error and its damage-ledger entry are silently lost",
      "assign the Result and branch on it (or std::ignore = ... with a "
      "bslint:allow(BS011 ...) justifying why the error cannot matter)"},
+    {"BS012", Severity::kError,
+     "header under src/ that no linted file includes (its own same-stem "
+     ".cpp aside) — a module only tests reach, or nothing does",
+     "delete the module with its tests, or fold it into its only caller; a "
+     "kept abstraction needs a real caller in src/, bench/ or examples/"},
 };
 
 // ---------------------------------------------------------------------------

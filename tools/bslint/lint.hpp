@@ -44,6 +44,9 @@
 //   BS011  discarded Result: a statement-expression call to a function
 //          indexed as returning Result<...> whose value is ignored loses
 //          the damage ledger
+//   BS012  unused module: a header under src/ that no linted file
+//          includes, its own same-stem .cpp aside; runs only when a
+//          program directory (anything outside src/) is linted too
 //
 // Suppressions: `// bslint:allow(BSxxx reason)` on the same or preceding
 // line; `// bslint:allow-file(BSxxx reason)` anywhere suppresses the rule
@@ -79,7 +82,7 @@ struct RuleInfo {
 
 /// Version stamp of the rule set + fact schema. Part of the cache key: any
 /// rule or serialization change invalidates every .bslint-cache entry.
-inline constexpr std::string_view kRuleSetVersion = "bslint-v2 BS001-BS011 r1";
+inline constexpr std::string_view kRuleSetVersion = "bslint-v2 BS001-BS012 r1";
 
 struct Finding {
   std::string rule;      // "BS001"

@@ -1,4 +1,4 @@
-// BS008–BS011: the interprocedural passes.
+// BS008–BS012: the interprocedural passes.
 //
 // BS008 (layering) resolves every quoted #include against the index and
 // checks the edge against the layer map below; include cycles are Tarjan
@@ -16,6 +16,8 @@
 // indexed Result-returning names, firing only when every function of that
 // name returns Result (name matching is approximate; ambiguity stays
 // silent rather than noisy).
+// BS012 (unused module) reads BS008's include digraph: a src/ header with
+// no in-edge, apart from its own same-stem .cpp, has no caller in view.
 #include "rules/project_rules.hpp"
 
 #include <algorithm>
@@ -127,8 +129,10 @@ using FactsByPath = std::map<std::string, const FileFacts*, std::less<>>;
   return finding;
 }
 
-void run_bs008(const std::vector<FileFacts>& files, const FactsByPath& by_path,
-               std::vector<Finding>& out) {
+/// Returns the resolved include digraph it checked; BS012 reads it too.
+[[nodiscard]] graph::Digraph run_bs008(const std::vector<FileFacts>& files,
+                                       const FactsByPath& by_path,
+                                       std::vector<Finding>& out) {
   graph::Digraph includes;
   for (const FileFacts& file : files) {
     includes.add_node(file.path);
@@ -174,6 +178,7 @@ void run_bs008(const std::vector<FileFacts>& files, const FactsByPath& by_path,
     }
     out.push_back(make_finding("BS008", rep, line, msg.str()));
   }
+  return includes;
 }
 
 // ---------------------------------------------------- call-graph plumbing
@@ -482,6 +487,45 @@ void run_bs011(const std::vector<FileFacts>& files, const FactsByPath& by_path,
   }
 }
 
+// ------------------------------------------------------------------ BS012
+
+[[nodiscard]] bool is_src_header(std::string_view path) {
+  const auto ends_with = [&](std::string_view suffix) {
+    return path.size() >= suffix.size() &&
+           path.substr(path.size() - suffix.size()) == suffix;
+  };
+  return path.rfind("src/", 0) == 0 && (ends_with(".hpp") || ends_with(".h"));
+}
+
+void run_bs012(const std::vector<FileFacts>& files, const FactsByPath& by_path,
+               const graph::Digraph& includes, std::vector<Finding>& out) {
+  // A header's callers are programs. With none in view (every linted file
+  // under src/), headers used only by benches or examples would all read
+  // as unused, so the rule stays silent.
+  const bool programs_in_view =
+      std::any_of(files.begin(), files.end(), [](const FileFacts& file) {
+        return file.path.rfind("src/", 0) != 0;
+      });
+  if (!programs_in_view) return;
+  std::set<std::string, std::less<>> included;
+  for (const FileFacts& file : files) {
+    const std::vector<std::string> own = companion_paths(file.path);
+    for (const std::string& target : includes.successors(file.path)) {
+      if (std::find(own.begin(), own.end(), target) == own.end()) {
+        included.insert(target);
+      }
+    }
+  }
+  for (const FileFacts& file : files) {
+    if (!is_src_header(file.path) || included.count(file.path) != 0) continue;
+    if (suppressed(by_path, "BS012", file.path, 1)) continue;
+    out.push_back(make_finding(
+        "BS012", file.path, 1,
+        "unused module: no linted file includes " + file.path +
+            " (its own .cpp aside) — only tests reach it, or nothing does"));
+  }
+}
+
 }  // namespace
 
 std::vector<Finding> project_findings(const std::vector<FileFacts>& files) {
@@ -490,10 +534,11 @@ std::vector<Finding> project_findings(const std::vector<FileFacts>& files) {
   const auto defs_by_name = build_defs_by_name(files);
 
   std::vector<Finding> out;
-  run_bs008(files, by_path, out);
+  const graph::Digraph includes = run_bs008(files, by_path, out);
   run_bs009(files, by_path, defs_by_name, out);
   run_bs010(files, by_path, defs_by_name, out);
   run_bs011(files, by_path, out);
+  run_bs012(files, by_path, includes, out);
   return out;
 }
 
