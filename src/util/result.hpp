@@ -19,7 +19,7 @@
 namespace booterscope::util {
 
 /// Why a decode failed (fatal) or was degraded (recoverable). The same
-/// taxonomy covers NetFlow v5/v9, IPFIX, pcap and the BSF1 flow store so
+/// taxonomy covers NetFlow v5, IPFIX, pcap and the BSF1 flow store so
 /// metrics and manifests can aggregate across codecs.
 enum class DecodeError : std::uint8_t {
   kTruncatedHeader,    // buffer ends inside the fixed header
