@@ -19,11 +19,12 @@ int main(int argc, char** argv) {
 
   const bench::RunOptions options = bench::parse_run_options(argc, argv);
   bench::LandscapeWorld world(options);
-  const auto& flows = world.result.ixp.store.flows();
+  const sim::LandscapeResult& result = world.materialize();
+  const auto& flows = result.ixp.store.flows();
 
   // Ground truth: NTP attack victims with clearly-qualifying attacks.
   std::unordered_set<std::uint32_t> true_victims;
-  for (const auto& attack : world.result.attacks) {
+  for (const auto& attack : result.attacks) {
     if (attack.vector == net::AmpVector::kNtp && attack.victim_gbps > 1.5 &&
         attack.reflector_count > 20) {
       true_victims.insert(attack.victim.value());
@@ -85,6 +86,6 @@ int main(int argc, char** argv) {
        "survivors shrink ~10x from optimistic set; recall bounded by "
        "sampling"},
   });
-  world.write_observability("ablate_filter");
+  world.write_observability("ablate_filter", world.result_items());
   return 0;
 }

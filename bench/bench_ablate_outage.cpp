@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   // the command line would double-apply.
   options.fault_profile = "none";
   bench::LandscapeWorld world(options);
-  const auto& cfg = world.result.config;
+  const sim::LandscapeResult& result = world.materialize();
+  const auto& cfg = world.config;
   const util::Timestamp takedown = *cfg.takedown;
   const std::uint64_t fault_seed = options.fault_seed;
 
@@ -45,10 +46,10 @@ int main(int argc, char** argv) {
     std::size_t vantage;
   };
   const Series series[] = {
-      {"NTP to reflectors, tier-2", &world.result.tier2.store.flows(),
-       net::ports::kNtp, bench::LandscapeWorld::kTier2},
-      {"memcached to reflectors, IXP", &world.result.ixp.store.flows(),
-       net::ports::kMemcached, bench::LandscapeWorld::kIxp},
+      {"NTP to reflectors, tier-2", &result.tier2.store.flows(),
+       net::ports::kNtp, flow::kVantageTier2},
+      {"memcached to reflectors, IXP", &result.ixp.store.flows(),
+       net::ports::kMemcached, flow::kVantageIxp},
   };
 
   fault::IntegrityTally tally;
@@ -77,8 +78,8 @@ int main(int argc, char** argv) {
       tally.dropped_by_fault += dropped;
       tally.decoded_clean += kept.size();
 
-      auto daily = core::daily_packets_to_port(kept, s.port, cfg.start,
-                                               cfg.days, &world.pool);
+      auto daily =
+          core::daily_packets_to_port(kept, s.port, cfg.start, cfg.days);
       plan.apply_coverage(daily, s.vantage);
       // Naive: min_coverage 0 keeps every day, outages and all.
       const auto naive = core::takedown_metrics(daily, takedown, 0.05, 0.0);

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
 
   const bench::RunOptions options = bench::parse_run_options(argc, argv);
   bench::LandscapeWorld world(options);
-  const auto& flows = world.result.ixp.store.flows();
+  const auto& flows = world.materialize().ixp.store.flows();
   const auto histogram = core::packet_size_distribution(flows);
 
   util::Table table({"size (bytes)", "pdf", "cdf"});
@@ -41,6 +41,6 @@ int main(int argc, char** argv) {
        "bimodal; " + util::format_double(monlist_mass * 100.0, 1) +
            "% mass in 480-500B monlist bins"},
   });
-  world.write_observability("fig2a");
+  world.write_observability("fig2a", world.result_items());
   return 0;
 }

@@ -56,10 +56,11 @@ int main(int argc, char** argv) {
 
   const bench::RunOptions options = bench::parse_run_options(argc, argv);
   bench::LandscapeWorld world(options);
+  const sim::LandscapeResult& result = world.materialize();
   const VantageStats all[] = {
-      analyze("IXP", world.result.ixp.store.flows()),
-      analyze("Tier-1 ISP", world.result.tier1.store.flows()),
-      analyze("Tier-2 ISP", world.result.tier2.store.flows()),
+      analyze("IXP", result.ixp.store.flows()),
+      analyze("Tier-1 ISP", result.tier1.store.flows()),
+      analyze("Tier-2 ISP", result.tier2.store.flows()),
   };
 
   util::Table table({"vantage", "NTP dests", "avg peak Gbps", "max Gbps",
@@ -116,6 +117,6 @@ int main(int argc, char** argv) {
            util::format_double(reduction.reduction_amplifiers_only() * 100.0, 0) +
            "%)"},
   });
-  world.write_observability("fig2b");
+  world.write_observability("fig2b", world.result_items());
   return 0;
 }

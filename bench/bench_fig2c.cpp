@@ -39,10 +39,11 @@ int main(int argc, char** argv) {
 
   const bench::RunOptions options = bench::parse_run_options(argc, argv);
   bench::LandscapeWorld world(options);
+  const sim::LandscapeResult& result = world.materialize();
   std::vector<VantageCdfs> vantages;
-  vantages.push_back(build("IXP", world.result.ixp.store.flows()));
-  vantages.push_back(build("Tier-1", world.result.tier1.store.flows()));
-  vantages.push_back(build("Tier-2", world.result.tier2.store.flows()));
+  vantages.push_back(build("IXP", result.ixp.store.flows()));
+  vantages.push_back(build("Tier-1", result.tier1.store.flows()));
+  vantages.push_back(build("Tier-2", result.tier2.store.flows()));
 
   std::cout << "CDF: max sources per destination (per-minute bins)\n";
   util::Table sources_table({"sources <=", "IXP", "Tier-1", "Tier-2"});
@@ -83,6 +84,6 @@ int main(int argc, char** argv) {
        util::format_double(vantages[0].gbps.at(0.1) * 100.0, 0) +
            "% of IXP targets below 0.1 Gbps"},
   });
-  world.write_observability("fig2c");
+  world.write_observability("fig2c", world.result_items());
   return 0;
 }

@@ -3,13 +3,12 @@
 // and the control: victim-bound reflection traffic shows NO significant
 // reduction.
 //
-// Two engines produce the figure (pick with --stream): the materialized
-// LandscapeWorld scans the merged FlowStores per panel, the streaming
-// StreamWorld builds every panel series in one bounded-memory pass
-// (core::StreamAnalysis). Both print byte-identical stdout — CI diffs them.
+// The streaming engine builds every panel series in one bounded-memory
+// pass (core::StreamAnalysis): peak RSS stays flat in run length, and the
+// series equal what the FlowList builders of core/takedown.hpp compute on
+// the materialized run (tests/integration/stream_equivalence_test.cpp).
 #include <array>
 #include <iostream>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -69,19 +68,17 @@ constexpr PanelDef kPanels[] = {
 };
 constexpr std::size_t kPanelCount = std::size(kPanels);
 
-/// Prints the whole figure from the finished (coverage-stamped) series —
-/// the engine-independent half, so materialized and streaming runs share
-/// one formatter and cannot drift apart.
-void print_figure(std::span<const stats::BinnedSeries> panel_daily,
-                  const stats::BinnedSeries& victim_daily,
+/// Prints the whole figure from the finished, coverage-stamped series:
+/// the six panels, then the control.
+void print_figure(const core::StreamAnalysis& analysis,
                   util::Timestamp takedown) {
   std::array<core::TakedownMetrics, kPanelCount> metrics;
   for (std::size_t i = 0; i < kPanelCount; ++i) {
-    metrics[i] = core::takedown_metrics(panel_daily[i], takedown);
+    metrics[i] = core::takedown_metrics(analysis.series(i), takedown);
   }
   for (std::size_t i = 0; i < kPanelCount; ++i) {
     if (kPanels[i].print_full) {
-      print_series(panel_daily[i], kPanels[i].name, takedown);
+      print_series(analysis.series(i), kPanels[i].name, takedown);
       std::cout << "  " << metric_string(metrics[i]) << "\n\n";
     } else {
       std::cout << kPanels[i].name << ": " << metric_string(metrics[i])
@@ -90,7 +87,8 @@ void print_figure(std::span<const stats::BinnedSeries> panel_daily,
   }
 
   // Control: victim-bound amplified traffic (from reflectors).
-  const auto victim_metrics = core::takedown_metrics(victim_daily, takedown);
+  const auto victim_metrics =
+      core::takedown_metrics(analysis.series(kPanelCount), takedown);
   std::cout << "control: packets FROM reflectors to victims — IXP: "
             << metric_string(victim_metrics) << "\n";
 
@@ -108,38 +106,12 @@ void print_figure(std::span<const stats::BinnedSeries> panel_daily,
   });
 }
 
-int run_materialized(const bench::RunOptions& options) {
-  bench::LandscapeWorld world(options);
-  const auto& cfg = world.result.config;
-  const util::Timestamp takedown = *cfg.takedown;
-  const flow::FlowList* vantage_flows[] = {&world.result.ixp.store.flows(),
-                                           &world.result.tier1.store.flows(),
-                                           &world.result.tier2.store.flows()};
+}  // namespace
 
-  // Gap-aware builds: under a fault profile the series carries the fault
-  // plan's per-day coverage, so outage days are excluded from the wtN/redN
-  // windows instead of read as traffic drops.
-  std::vector<stats::BinnedSeries> panel_daily;
-  panel_daily.reserve(kPanelCount);
-  for (const PanelDef& panel : kPanels) {
-    auto daily = core::daily_packets_to_port(*vantage_flows[panel.vantage],
-                                             panel.port, cfg.start, cfg.days,
-                                             &world.pool);
-    world.stamp_coverage(daily, panel.vantage);
-    panel_daily.push_back(std::move(daily));
-  }
-  auto victim_daily = core::daily_packets_from_reflectors(
-      world.result.ixp.store.flows(), {}, cfg.start, cfg.days, &world.pool);
-  world.stamp_coverage(victim_daily, flow::kVantageIxp);
-
-  print_figure(panel_daily, victim_daily, takedown);
-  world.write_observability("fig4");
-  return 0;
-}
-
-int run_streaming(const bench::RunOptions& options) {
-  bench::StreamWorld world(options);
-  const util::Timestamp takedown = *world.config.takedown;
+int main(int argc, char** argv) {
+  bench::print_header("Figure 4",
+                      "Traffic to reflectors before/after the takedown");
+  bench::LandscapeWorld world(bench::parse_run_options(argc, argv));
 
   std::vector<core::SeriesSpec> specs;
   specs.reserve(kPanelCount + 1);
@@ -165,26 +137,17 @@ int run_streaming(const bench::RunOptions& options) {
   world.run(analysis);
   analysis.finish();
 
-  std::vector<stats::BinnedSeries> panel_daily;
-  panel_daily.reserve(kPanelCount);
+  // Gap-aware series: under a fault profile each series carries the fault
+  // plan's per-day coverage, so outage days are excluded from the wtN/redN
+  // windows instead of read as traffic drops.
   for (std::size_t i = 0; i < kPanelCount; ++i) {
     world.stamp_coverage(analysis.mutable_series(i), kPanels[i].vantage);
-    panel_daily.push_back(analysis.series(i));
   }
   world.stamp_coverage(analysis.mutable_series(kPanelCount),
                        flow::kVantageIxp);
 
-  print_figure(panel_daily, analysis.series(kPanelCount), takedown);
+  print_figure(analysis, *world.config.takedown);
   world.write_observability(
       "fig4", world.result_items(analysis.total_kept_flows()));
   return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bench::print_header("Figure 4",
-                      "Traffic to reflectors before/after the takedown");
-  const bench::RunOptions options = bench::parse_run_options(argc, argv);
-  return options.stream ? run_streaming(options) : run_materialized(options);
 }

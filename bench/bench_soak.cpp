@@ -212,12 +212,13 @@ int main(int argc, char** argv) {
   bench::RunOptions world_options = options.run;
   world_options.fault_profile = "none";
   bench::LandscapeWorld world(world_options);
-  const sim::LandscapeConfig& cfg = world.result.config;
+  const sim::LandscapeResult& result = world.materialize();
+  const sim::LandscapeConfig& cfg = world.config;
 
   // Time-sorted per-vantage sources (export order == observation order).
   flow::FlowList sorted[flow::kVantageCount] = {
-      world.result.ixp.store.flows(), world.result.tier1.store.flows(),
-      world.result.tier2.store.flows()};
+      result.ixp.store.flows(), result.tier1.store.flows(),
+      result.tier2.store.flows()};
   for (auto& flows : sorted) {
     std::sort(flows.begin(), flows.end(),
               [](const flow::FlowRecord& a, const flow::FlowRecord& b) {

@@ -23,7 +23,7 @@ RunOptions parse_run_options(int argc, char** argv) {
                  " [--seed N] [--fault-profile none|light|heavy]"
                  " [--fault-seed N] [--timeline] [--prof]"
                  " [--sample-interval-ms N] [--serve PORT]"
-                 " [--serve-hold-ms N] [--stream] [--stream-batch N]\n";
+                 " [--serve-hold-ms N] [--stream-batch N]\n";
     std::exit(2);
   };
   for (int i = 1; i < argc; ++i) {
@@ -34,10 +34,6 @@ RunOptions parse_run_options(int argc, char** argv) {
     }
     if (flag == "--prof") {  // boolean flag, no value
       options.prof = true;
-      continue;
-    }
-    if (flag == "--stream") {  // boolean flag, no value
-      options.stream = true;
       continue;
     }
     if (i + 1 >= argc) usage("missing value for " + flag);
@@ -121,14 +117,13 @@ void print_comparisons(const std::vector<Comparison>& rows) {
 
 namespace {
 
-/// Engages the timeline recorder and the live telemetry plane on a world
-/// (LandscapeWorld or StreamWorld — same member slots). All of it is an
-/// observer: the sampler reads /proc and the registry, the watchdog reads
-/// heartbeats, the server reads snapshot views — none of them touch
-/// simulation state, so engaging any combination leaves the run's bytes
-/// unchanged (DESIGN.md §13). Call before the first pool task.
-template <typename World>
-void engage_live_plane(World& world, const RunOptions& options) {
+/// Engages the timeline recorder and the live telemetry plane on the
+/// world. All of it is an observer: the sampler reads /proc and the
+/// registry, the watchdog reads heartbeats, the server reads snapshot
+/// views — none of them touch simulation state, so engaging any
+/// combination leaves the run's bytes unchanged (DESIGN.md §13). Call
+/// before the first pool task.
+void engage_live_plane(LandscapeWorld& world, const RunOptions& options) {
   if (options.timeline) {
     world.timeline =
         std::make_unique<obs::TimelineRecorder>(world.pool.size() + 1);
@@ -207,14 +202,13 @@ void engage_live_plane(World& world, const RunOptions& options) {
   }
 }
 
-/// Post-run bookkeeping on the same member slots: snapshot the exec
-/// counters into the timeline (the pool has quiesced, so this is on the
-/// sequential surface), pin a final resource sample so even sub-interval
-/// runs end with a current point, then disarm the watchdog — nothing beats
-/// during the serve-hold window by design, and that silence is not a
-/// stall. The final stage tree replaces the empty pre-run snapshot.
-template <typename World>
-void finish_live_plane(World& world) {
+/// Post-run bookkeeping: snapshot the exec counters into the timeline (the
+/// pool has quiesced, so this is on the sequential surface), pin a final
+/// resource sample so even sub-interval runs end with a current point,
+/// then disarm the watchdog — nothing beats during the serve-hold window
+/// by design, and that silence is not a stall. The final stage tree
+/// replaces the empty pre-run snapshot.
+void finish_live_plane(LandscapeWorld& world) {
   if (world.timeline) {
     world.timeline->sample_counters(obs::metrics(), "booterscope_exec",
                                     util::monotonic_nanos());
@@ -233,14 +227,13 @@ void finish_live_plane(World& world) {
   }
 }
 
-/// Exit protocol shared by both worlds: the heartbeat atomic lives in the
-/// watchdog, which dies before the pool (reverse declaration order), so
-/// detach first; then honor --serve-hold-ms so an external scraper
-/// reliably catches the finished run. The hold is interruptible: SIGTERM
+/// Exit protocol: the heartbeat atomic lives in the watchdog, which dies
+/// before the pool (reverse declaration order), so detach first; then
+/// honor --serve-hold-ms so an external scraper reliably catches the
+/// finished run. The hold is interruptible: SIGTERM
 /// or SIGINT during the window ends it early and the bench exits cleanly
 /// (its results are already written by this point).
-template <typename World>
-void shutdown_live_plane(World& world) {
+void shutdown_live_plane(LandscapeWorld& world) {
   world.pool.attach_heartbeat(nullptr);
   if (world.server && world.server->running() && world.serve_hold_ms > 0) {
     std::cerr << "live: holding " << world.serve_hold_ms
@@ -261,93 +254,56 @@ void shutdown_live_plane(World& world) {
 
 }  // namespace
 
-sim::LandscapeResult LandscapeWorld::run_timed(LandscapeWorld& world,
-                                               const RunOptions& options) {
-  engage_live_plane(world, options);
-
-  const std::int64_t t0 = util::monotonic_nanos();
-  sim::LandscapeResult result = sim::run_landscape(
-      world.internet, apply_run_options(sim::paper_landscape_config(), options),
-      world.pool, &world.tracer);
-  world.run_wall_nanos =
-      static_cast<std::uint64_t>(util::monotonic_nanos() - t0);
-
-  finish_live_plane(world);
-  return result;
-}
-
-LandscapeWorld::~LandscapeWorld() { shutdown_live_plane(*this); }
-
-StreamWorld::StreamWorld(const RunOptions& options)
+LandscapeWorld::LandscapeWorld(const RunOptions& options)
     : internet(sim::InternetConfig{}),
       pool(options.threads),
       config(apply_run_options(sim::paper_landscape_config(), options)),
       stream_batch(options.stream_batch != 0
                        ? options.stream_batch
-                       : flow::FlowBatch::kDefaultCapacity) {
+                       : flow::FlowBatch::kDefaultCapacity),
+      fault_profile_name(options.fault_profile),
+      fault_seed(options.fault_seed) {
   engage_live_plane(*this, options);
 
   // The fault plan is a pure function of its seed, profile and window, so
-  // building it before the run (the sink needs it in-stream) yields the
-  // exact plan the materialized engine builds afterwards.
-  fault_profile_name = options.fault_profile;
-  fault_seed = options.fault_seed;
+  // building it before the run (a streaming sink needs it in-stream) gives
+  // the same plan for either engine.
   const std::optional<fault::FaultProfile> profile =
       fault::FaultProfile::parse(options.fault_profile);
   if (profile && profile->enabled()) {
     fault_plan.emplace(options.fault_seed, *profile, config.start,
-                       config.days, 3);
+                       config.days, flow::kVantageCount);
   }
 }
 
-StreamWorld::~StreamWorld() { shutdown_live_plane(*this); }
+LandscapeWorld::~LandscapeWorld() { shutdown_live_plane(*this); }
 
-void StreamWorld::run(flow::FlowBatchSink& sink, sim::GroundTruthSink* truth) {
+void LandscapeWorld::run(flow::FlowBatchSink& sink,
+                         sim::GroundTruthSink* truth) {
   sim::StreamOptions stream_options;
   stream_options.batch_flows = stream_batch;
   const std::int64_t t0 = util::monotonic_nanos();
   summary = sim::run_landscape_stream(internet, config, pool, sink,
                                       stream_options, &tracer, truth);
-  run_wall_nanos =
-      static_cast<std::uint64_t>(util::monotonic_nanos() - t0);
+  run_wall_nanos = static_cast<std::uint64_t>(util::monotonic_nanos() - t0);
   finish_live_plane(*this);
+  streamed_ = true;
 }
 
-void StreamWorld::write_observability(const std::string& experiment_id,
-                                      std::uint64_t items) const {
-  bench::write_observability(experiment_id, config, &tracer, pool.size(),
-                             &integrity, fault_profile_name, fault_seed);
-  bench::write_perf_ledger(experiment_id, config, &tracer, &pool,
-                           run_wall_nanos, items, fault_profile_name,
-                           fault_seed, sampler.get(), profiler.get(),
-                           {{"stream", "true"},
-                            {"stream_batch", std::to_string(stream_batch)}});
-  bench::write_folded_profile(experiment_id, profiler.get(), &tracer,
-                              server.get());
-  // Fold the live series into the trace as counter tracks before it is
-  // written (sequential surface; the run has quiesced).
-  if (timeline && sampler) sampler->export_to_timeline(*timeline);
-  if (timeline && watchdog) watchdog->export_to_timeline(*timeline);
-  bench::write_timeline(experiment_id, timeline.get());
-}
-
-void LandscapeWorld::apply_faults(const RunOptions& options) {
-  fault_profile_name = options.fault_profile;
-  fault_seed = options.fault_seed;
-  const std::optional<fault::FaultProfile> profile =
-      fault::FaultProfile::parse(options.fault_profile);
-  if (!profile || !profile->enabled()) return;
-  fault_plan.emplace(options.fault_seed, *profile, result.config.start,
-                     result.config.days, 3);
+const sim::LandscapeResult& LandscapeWorld::materialize() {
+  const std::int64_t t0 = util::monotonic_nanos();
+  result = sim::run_landscape(internet, config, pool, &tracer);
+  run_wall_nanos = static_cast<std::uint64_t>(util::monotonic_nanos() - t0);
+  finish_live_plane(*this);
+  if (!fault_plan) return result;
 
   // Outage windows act at the store boundary: a dark exporter's flows
   // never reach the analysis. The integrity ledger counts flow records
   // here — offered == kept (clean) + dropped-by-outage for each vantage.
-  const std::pair<std::size_t, sim::VantageData*> vantages[] = {
-      {kIxp, &result.ixp}, {kTier1, &result.tier1}, {kTier2, &result.tier2}};
+  sim::VantageData* vantages[] = {&result.ixp, &result.tier1, &result.tier2};
   const char* names[] = {"ixp", "tier1", "tier2"};
-  for (const auto& [index, vantage] : vantages) {
-    flow::FlowList& flows = vantage->store.flows();
+  for (std::size_t index = 0; index < flow::kVantageCount; ++index) {
+    flow::FlowList& flows = vantages[index]->store.flows();
     const std::size_t before = flows.size();
     std::erase_if(flows, [&](const flow::FlowRecord& f) {
       return fault_plan->out_at(index, f.first);
@@ -362,6 +318,28 @@ void LandscapeWorld::apply_faults(const RunOptions& options) {
                  {{"vantage", names[index]}})
         .add(dropped);
   }
+  return result;
+}
+
+void LandscapeWorld::write_observability(const std::string& experiment_id,
+                                         std::uint64_t items) const {
+  bench::write_observability(experiment_id, config, &tracer, pool.size(),
+                             &integrity, fault_profile_name, fault_seed);
+  std::vector<std::pair<std::string, std::string>> engine;
+  if (streamed_) {
+    engine = {{"stream", "true"},
+              {"stream_batch", std::to_string(stream_batch)}};
+  }
+  bench::write_perf_ledger(experiment_id, config, &tracer, &pool,
+                           run_wall_nanos, items, fault_profile_name,
+                           fault_seed, sampler.get(), profiler.get(), engine);
+  bench::write_folded_profile(experiment_id, profiler.get(), &tracer,
+                              server.get());
+  // Fold the live series into the trace as counter tracks before it is
+  // written (sequential surface; the run has quiesced).
+  if (timeline && sampler) sampler->export_to_timeline(*timeline);
+  if (timeline && watchdog) watchdog->export_to_timeline(*timeline);
+  bench::write_timeline(experiment_id, timeline.get());
 }
 
 void write_observability(const std::string& experiment_id,

@@ -65,10 +65,7 @@ void print_header(const std::string& experiment_id, const std::string& title);
 ///   --serve-hold-ms N    keep the process (and the scrape endpoint) alive
 ///                        N ms after the outputs are written, so an external
 ///                        scraper reliably catches the run (CI smoke)
-///   --stream             run the streaming one-pass engine (DESIGN.md §14)
-///                        instead of materializing the run: peak RSS stays
-///                        flat in run length, output bytes are identical
-///   --stream-batch N     rows per columnar batch in --stream mode
+///   --stream-batch N     rows per columnar batch of the streaming engine
 ///                        (default 8192; any value produces the same bytes)
 /// Defaults reproduce the paper figures; any --threads value produces the
 /// same bytes (DESIGN.md §9), so the flags only trade wall-clock and scale.
@@ -90,7 +87,6 @@ struct RunOptions {
   int sample_interval_ms = 25;   // 0 = sampler off
   int serve_port = -1;           // -1 = no scrape endpoint, 0 = ephemeral
   int serve_hold_ms = 0;         // post-run scrape window
-  bool stream = false;           // streaming one-pass engine
   std::size_t stream_batch = 0;  // 0 = FlowBatch::kDefaultCapacity
 };
 
@@ -199,14 +195,17 @@ void write_folded_profile(const std::string& experiment_id,
 void write_timeline(const std::string& experiment_id,
                     const obs::TimelineRecorder* timeline);
 
-/// The landscape world shared by the §4/§5 benches (one full 122-day run,
-/// sharded by day over the pool — byte-identical for every --threads N).
+/// The landscape world shared by the §4/§5 benches: the Internet, the pool
+/// (the run is sharded by day over it — byte-identical for every
+/// --threads N), the live telemetry plane and the fault plan. A bench
+/// either streams the run into a sink with run() (DESIGN.md §14: day-ordered
+/// columnar batches, bounded memory) or holds every flow with materialize().
 struct LandscapeWorld {
   sim::Internet internet;
   obs::StageTracer tracer;
   /// Engaged by --timeline: the begin/end recorder the tracer and pool
-  /// feed. Declared before pool/result so the run (which assigns it) never
-  /// races a later default initializer.
+  /// feed. Declared before the pool, which writes to it until its workers
+  /// join.
   std::unique_ptr<obs::TimelineRecorder> timeline;
   /// Engaged by --prof: per-lane hardware counter groups the tracer and
   /// pool feed. Declared before pool for the same outliving reason as the
@@ -215,46 +214,52 @@ struct LandscapeWorld {
   /// Wall nanos of the landscape run alone (not process lifetime) — the
   /// headline number of the perf ledger.
   std::uint64_t run_wall_nanos = 0;
-  exec::ThreadPool pool;  // declared before result: result's ctor uses it
+  exec::ThreadPool pool;
   /// The live telemetry plane, engaged by --sample-interval-ms / --serve.
   /// Declared after pool (their probes read it; reverse destruction stops
-  /// them first) and before result (run_timed, result's initializer,
-  /// engages them before the first task).
+  /// them first).
   std::unique_ptr<obs::live::Watchdog> watchdog;
   std::unique_ptr<obs::live::ResourceSampler> sampler;
   std::unique_ptr<obs::live::ScrapeServer> server;
   int serve_hold_ms = 0;
-  sim::LandscapeResult result;
 
-  /// Fault plan vantage indices (order of the three exporters).
-  static constexpr std::size_t kIxp = 0;
-  static constexpr std::size_t kTier1 = 1;
-  static constexpr std::size_t kTier2 = 2;
+  /// The run's config, RunOptions applied.
+  sim::LandscapeConfig config;
+  std::size_t stream_batch = flow::FlowBatch::kDefaultCapacity;
 
   std::string fault_profile_name = "none";
   std::uint64_t fault_seed = 0;
-  /// Engaged when --fault-profile is not "none": vantage outage schedule
-  /// applied to the stores, coverage source for gap-aware series.
+  /// Engaged when --fault-profile is not "none": the vantage outage
+  /// schedule, and the coverage source for gap-aware series. Built before
+  /// the run (a pure function of seed, profile and window). A streaming
+  /// sink applies it in-stream: wire it via StreamAnalysis::set_fault_plan
+  /// together with `integrity` before calling run(). materialize() applies
+  /// it at the store boundary itself.
   std::optional<fault::FaultPlan> fault_plan;
-  /// Store-boundary integrity ledger: every flow record the simulation
-  /// offered is either kept (clean) or dropped by an outage window.
+  /// Integrity ledger: every flow record the simulation offered is either
+  /// kept (clean) or dropped by an outage window.
   fault::IntegrityTally integrity;
 
-  explicit LandscapeWorld(const RunOptions& options = {})
-      : internet(sim::InternetConfig{}),
-        pool(options.threads),
-        result(run_timed(*this, options)) {
-    apply_faults(options);
-  }
+  /// Valid after run().
+  sim::StreamSummary summary;
+  /// Valid after materialize().
+  sim::LandscapeResult result;
+
+  explicit LandscapeWorld(const RunOptions& options = {});
 
   /// Detaches the pool heartbeat and honors --serve-hold-ms (keeps the
   /// scrape endpoint alive briefly so an external scraper catches the run)
   /// before the members stop their threads in reverse declaration order.
   ~LandscapeWorld();
 
-  /// Builds the fault plan from RunOptions and filters each vantage store
-  /// by its outage windows (no-op for profile "none").
-  void apply_faults(const RunOptions& options);
+  /// Streams the landscape into `sink`, timing it for the ledger and
+  /// closing out the live plane.
+  void run(flow::FlowBatchSink& sink, sim::GroundTruthSink* truth = nullptr);
+
+  /// Runs the landscape into per-vantage stores, timing it like run(), and
+  /// drops every flow the fault plan's outage windows hide (store
+  /// boundary; counted in `integrity`).
+  const sim::LandscapeResult& materialize();
 
   /// Stamps the fault plan's per-day coverage onto a daily series built
   /// from the given vantage, enabling gap-aware takedown metrics. No-op
@@ -263,104 +268,27 @@ struct LandscapeWorld {
     if (fault_plan) fault_plan->apply_coverage(daily, vantage);
   }
 
-  /// Deterministic output size of the run: attacks plus stored flows per
-  /// vantage. The exact-match throughput denominator in the perf ledger.
+  /// Deterministic output size of a streamed run: attacks plus the kept
+  /// flows the analysis sink counted. The exact-match throughput
+  /// denominator of the perf ledger.
+  [[nodiscard]] std::uint64_t result_items(
+      std::uint64_t kept_flows) const noexcept {
+    return summary.attack_count + kept_flows;
+  }
+  /// The same count for a materialized run: attacks plus stored flows.
   [[nodiscard]] std::uint64_t result_items() const noexcept {
     return result.attacks.size() + result.ixp.store.size() +
            result.tier1.store.size() + result.tier2.store.size();
   }
 
-  void write_observability(const std::string& experiment_id) const {
-    bench::write_observability(experiment_id, result.config, &tracer,
-                               pool.size(), &integrity, fault_profile_name,
-                               fault_seed);
-    bench::write_perf_ledger(experiment_id, result.config, &tracer, &pool,
-                             run_wall_nanos, result_items(),
-                             fault_profile_name, fault_seed, sampler.get(),
-                             profiler.get());
-    bench::write_folded_profile(experiment_id, profiler.get(), &tracer,
-                                server.get());
-    // Fold the live series into the trace as counter tracks before it is
-    // written (sequential surface; the run has quiesced).
-    if (timeline && sampler) sampler->export_to_timeline(*timeline);
-    if (timeline && watchdog) watchdog->export_to_timeline(*timeline);
-    bench::write_timeline(experiment_id, timeline.get());
-  }
-
- private:
-  /// Init helper for `result`: optionally engages the timeline (recorder
-  /// sized pool+1, attached to tracer and pool before the first task) and
-  /// times the landscape run. Runs after pool's initializer, before
-  /// apply_faults.
-  static sim::LandscapeResult run_timed(LandscapeWorld& world,
-                                        const RunOptions& options);
-};
-
-/// The landscape world of the streaming one-pass engine (DESIGN.md §14):
-/// the same Internet, pool and live telemetry plane as LandscapeWorld, but
-/// the run never materializes — run() drains day-ordered columnar batches
-/// into the caller's sink (typically a core::StreamAnalysis) and retains
-/// only a bounded StreamSummary, so peak RSS stays flat as --days and
-/// --attacks-per-day grow. Output bytes are identical to the materialized
-/// engine for any pool size and batch capacity.
-struct StreamWorld {
-  sim::Internet internet;
-  obs::StageTracer tracer;
-  /// Members mirror LandscapeWorld's declaration-order discipline: the
-  /// timeline and profiler before the pool, the live plane after the pool
-  /// (probes read it; reverse destruction stops them first).
-  std::unique_ptr<obs::TimelineRecorder> timeline;
-  std::unique_ptr<obs::prof::Profiler> profiler;
-  std::uint64_t run_wall_nanos = 0;
-  exec::ThreadPool pool;
-  std::unique_ptr<obs::live::Watchdog> watchdog;
-  std::unique_ptr<obs::live::ResourceSampler> sampler;
-  std::unique_ptr<obs::live::ScrapeServer> server;
-  int serve_hold_ms = 0;
-
-  /// The run's config (RunOptions already applied) — unlike LandscapeWorld
-  /// there is no LandscapeResult to carry it, so it lives here.
-  sim::LandscapeConfig config;
-  std::size_t stream_batch = flow::FlowBatch::kDefaultCapacity;
-
-  std::string fault_profile_name = "none";
-  std::uint64_t fault_seed = 0;
-  /// Built before the run (a pure function of --fault-seed/--fault-profile
-  /// and the window, so identical to the materialized plan). The analysis
-  /// sink applies it in-stream: wire it via StreamAnalysis::set_fault_plan
-  /// together with `integrity` before calling run().
-  std::optional<fault::FaultPlan> fault_plan;
-  fault::IntegrityTally integrity;
-
-  /// Valid after run().
-  sim::StreamSummary summary;
-
-  explicit StreamWorld(const RunOptions& options = {});
-
-  /// Same exit protocol as ~LandscapeWorld: detach the pool heartbeat and
-  /// honor --serve-hold-ms before members stop in reverse order.
-  ~StreamWorld();
-
-  /// Runs the streaming landscape into `sink`, timing it for the ledger
-  /// and closing out the live plane.
-  void run(flow::FlowBatchSink& sink, sim::GroundTruthSink* truth = nullptr);
-
-  void stamp_coverage(stats::BinnedSeries& daily, std::size_t vantage) const {
-    if (fault_plan) fault_plan->apply_coverage(daily, vantage);
-  }
-
-  /// Attacks plus kept (post-outage) flows: equals the materialized
-  /// LandscapeWorld::result_items() when `kept_flows` comes from the
-  /// analysis sink — the exact-match gate that proves the engines agree.
-  [[nodiscard]] std::uint64_t result_items(
-      std::uint64_t kept_flows) const noexcept {
-    return summary.attack_count + kept_flows;
-  }
-
-  /// Streaming analogue of LandscapeWorld::write_observability; `items`
-  /// is result_items(kept) since the world cannot see inside the sink.
+  /// Writes the manifest, perf ledger, folded profile and timeline of the
+  /// run; `items` is one of the result_items() counts. A streamed run's
+  /// ledger also records the engine and its batch size.
   void write_observability(const std::string& experiment_id,
                            std::uint64_t items) const;
+
+ private:
+  bool streamed_ = false;
 };
 
 }  // namespace booterscope::bench

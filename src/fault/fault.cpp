@@ -32,7 +32,6 @@ FaultProfile FaultProfile::light() noexcept {
   p.reorder = 0.01;
   p.truncate = 0.005;
   p.bitflip = 0.002;
-  p.template_loss = 0.01;
   return p;
 }
 
@@ -45,7 +44,6 @@ FaultProfile FaultProfile::heavy() noexcept {
   p.reorder = 0.05;
   p.truncate = 0.03;
   p.bitflip = 0.01;
-  p.template_loss = 0.05;
   return p;
 }
 
@@ -66,7 +64,7 @@ std::optional<FaultProfile> FaultProfile::parse(
 bool FaultProfile::enabled() const noexcept {
   return outage_fraction > 0.0 || flap_fraction > 0.0 || drop > 0.0 ||
          duplicate > 0.0 || reorder > 0.0 || truncate > 0.0 ||
-         bitflip > 0.0 || template_loss > 0.0;
+         bitflip > 0.0;
 }
 
 FaultPlan::FaultPlan(std::uint64_t seed, const FaultProfile& profile,

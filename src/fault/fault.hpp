@@ -2,12 +2,12 @@
 //
 // The paper's verdicts rest on telemetry that is lossy in the real world:
 // vantage points go dark for hours or days, export packets are dropped,
-// duplicated, reordered, truncated or bit-flipped in flight, templates
-// arrive late or never, and exporter clocks drift. This subsystem makes all
-// of that injectable under a single fault seed, with the same determinism
-// contract as the simulator: every decision is a pure function of
-// (fault_seed, label, index) via util::Rng::split, so a faulted run is
-// replayable byte-for-byte at any thread count.
+// duplicated, reordered, truncated or bit-flipped in flight, and exporter
+// clocks drift. This subsystem makes all of that injectable under a single
+// fault seed, with the same determinism contract as the simulator: every
+// decision is a pure function of (fault_seed, label, index) via
+// util::Rng::split, so a faulted run is replayable byte-for-byte at any
+// thread count.
 #pragma once
 
 #include <array>
@@ -41,9 +41,6 @@ struct FaultProfile {
   double reorder = 0.0;
   double truncate = 0.0;
   double bitflip = 0.0;
-  /// P(a template announcement is withheld from an export packet), for
-  /// exporters that model template resend (IPFIX).
-  double template_loss = 0.0;
 
   [[nodiscard]] static FaultProfile none() noexcept { return {}; }
   /// Mild degradation: ~2% losses everywhere.

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/takedown.hpp"
 #include "obs/manifest.hpp"
 #include "sim/landscape.hpp"
 #include "exec/thread_pool.hpp"
@@ -112,34 +111,6 @@ TEST(ParallelDeterminism, GoldenManifestBytesIdenticalAcrossPoolSizes) {
   EXPECT_EQ(golden, manifest_for(4));
   EXPECT_EQ(golden, manifest_for(0));  // 0 = hardware concurrency
   EXPECT_NE(golden.find("\"balanced\":true"), std::string::npos);
-}
-
-TEST(ParallelDeterminism, SeriesBuildersIdenticalAcrossPoolSizes) {
-  exec::ThreadPool pool1(1);
-  const auto result =
-      sim::run_landscape(shared_internet(), tiny_config(), pool1);
-  const auto& flows = result.ixp.store.flows();
-  const util::Timestamp start = result.config.start;
-  const int days = result.config.days;
-
-  exec::ThreadPool pool4(4);
-  exec::ThreadPool pool8(8);
-  const auto s1 = core::daily_packets_to_port(flows, net::ports::kNtp, start,
-                                              days, &pool1);
-  const auto s4 = core::daily_packets_to_port(flows, net::ports::kNtp, start,
-                                              days, &pool4);
-  const auto s8 = core::daily_packets_to_port(flows, net::ports::kNtp, start,
-                                              days, &pool8);
-  EXPECT_EQ(s1.values(), s4.values());
-  EXPECT_EQ(s1.values(), s8.values());
-
-  // hourly_attacked_systems counts integers per hour: the parallel
-  // summarize step must be bit-identical to the serial loop.
-  const auto h_serial =
-      core::hourly_attacked_systems(flows, {}, start, days, nullptr);
-  const auto h_pool =
-      core::hourly_attacked_systems(flows, {}, start, days, &pool4);
-  EXPECT_EQ(h_serial.values(), h_pool.values());
 }
 
 }  // namespace

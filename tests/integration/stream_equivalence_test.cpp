@@ -1,9 +1,11 @@
 // Streaming-engine equivalence suite (DESIGN.md §14): the one-pass
 // pipeline must be *byte-identical* to the materialized engine — same
 // flows, same BinnedSeries values, same wtN/redN verdicts — at every pool
-// size and batch capacity, with and without an engaged fault plan. These
-// tests are the contract that lets bench_fig4/bench_fig5 switch engines
-// with `--stream` and lets CI diff their stdout bytes.
+// size and batch capacity, with and without an engaged fault plan. The
+// materialized side is the FlowList series builders of core/takedown.hpp
+// over sim::run_landscape. These tests are what lets bench_fig4 and
+// bench_fig5 run the streaming engine alone and still report the
+// materialized figures.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -196,8 +198,9 @@ TEST(StreamEquivalence, OutageFilteringMatchesTheStoreBoundaryFilter) {
   const fault::FaultPlan plan(7, *profile, ref.config.start, ref.config.days,
                               flow::kVantageCount);
 
-  // Materialized: the store-boundary filter bench::LandscapeWorld applies —
-  // erase every flow whose vantage was dark at its start time, then build.
+  // Materialized: the store-boundary filter of the benches'
+  // LandscapeWorld::materialize() — erase every flow whose vantage was dark
+  // at its start time, then build.
   fault::IntegrityTally expected_tally;
   flow::FlowList surviving;
   for (std::size_t v = 0; v < flow::kVantageCount; ++v) {

@@ -1,7 +1,9 @@
 // Unit tests for booterscope::obs metrics: counter/gauge/histogram
 // semantics, label canonicalization, percentile math, exposition output,
 // and a multithreaded counter hammer. Local registries are used throughout
-// so the global one the library instruments stays untouched.
+// so the global one the library instruments stays untouched. Under
+// BOOTERSCOPE_NO_METRICS the instruments are inert, so every value check
+// asserts the zero they read instead (see live() below).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -13,12 +15,24 @@
 namespace booterscope::obs {
 namespace {
 
+/// What an instrument reads after a test's updates: `updated` when metrics
+/// are compiled in, the inert zero when they are compiled out.
+template <typename T>
+constexpr T live(T updated) {
+#ifndef BOOTERSCOPE_NO_METRICS
+  return updated;
+#else
+  (void)updated;
+  return T{};
+#endif
+}
+
 TEST(Counter, StartsAtZeroAndAccumulates) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.add(41);
-  EXPECT_EQ(c.value(), 42u);
+  EXPECT_EQ(c.value(), live(42u));
 }
 
 TEST(Counter, MultithreadedHammer) {
@@ -33,18 +47,18 @@ TEST(Counter, MultithreadedHammer) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(c.value(), kThreads * kPerThread);
+  EXPECT_EQ(c.value(), live(kThreads * kPerThread));
 }
 
 TEST(Gauge, SetAndAdd) {
   Gauge g;
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
   g.set(10.5);
-  EXPECT_DOUBLE_EQ(g.value(), 10.5);
+  EXPECT_DOUBLE_EQ(g.value(), live(10.5));
   g.add(-3.5);
-  EXPECT_DOUBLE_EQ(g.value(), 7.0);
+  EXPECT_DOUBLE_EQ(g.value(), live(7.0));
   g.set(1.0);
-  EXPECT_DOUBLE_EQ(g.value(), 1.0);
+  EXPECT_DOUBLE_EQ(g.value(), live(1.0));
 }
 
 TEST(Histogram, BucketAssignment) {
@@ -56,12 +70,12 @@ TEST(Histogram, BucketAssignment) {
   h.observe(7.0);  // overflow
   const auto counts = h.bucket_counts();
   ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 15.0);
+  EXPECT_EQ(counts[0], live(2u));
+  EXPECT_EQ(counts[1], live(1u));
+  EXPECT_EQ(counts[2], live(1u));
+  EXPECT_EQ(counts[3], live(1u));
+  EXPECT_EQ(h.count(), live(5u));
+  EXPECT_DOUBLE_EQ(h.sum(), live(15.0));
 }
 
 TEST(Histogram, BoundsSortedAndDeduped) {
@@ -74,20 +88,20 @@ TEST(Histogram, PercentileOnUniformDistribution) {
   // interpolated p-quantile of the bucketed data is exactly 100p.
   Histogram h(Histogram::linear_bounds(10.0, 10.0, 10));
   for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i) - 0.5);
-  EXPECT_NEAR(h.percentile(0.50), 50.0, 1e-9);
-  EXPECT_NEAR(h.percentile(0.95), 95.0, 1e-9);
-  EXPECT_NEAR(h.percentile(0.10), 10.0, 1e-9);
-  EXPECT_NEAR(h.percentile(1.0), 100.0, 1e-9);
+  EXPECT_NEAR(h.percentile(0.50), live(50.0), 1e-9);
+  EXPECT_NEAR(h.percentile(0.95), live(95.0), 1e-9);
+  EXPECT_NEAR(h.percentile(0.10), live(10.0), 1e-9);
+  EXPECT_NEAR(h.percentile(1.0), live(100.0), 1e-9);
   EXPECT_NEAR(h.percentile(0.0), 0.0, 1e-9);
   // Out-of-range p is clamped.
-  EXPECT_NEAR(h.percentile(2.0), 100.0, 1e-9);
+  EXPECT_NEAR(h.percentile(2.0), live(100.0), 1e-9);
 }
 
 TEST(Histogram, PercentileOverflowReportsLastBound) {
   Histogram h({10.0, 20.0});
   h.observe(1000.0);
   h.observe(1000.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 20.0);
+  EXPECT_DOUBLE_EQ(h.percentile(0.5), live(20.0));
 }
 
 TEST(Histogram, PercentileOfEmptyIsZero) {
@@ -108,7 +122,7 @@ TEST(Registry, SameNameReturnsSameSeries) {
   Counter& b = registry.counter("requests_total");
   EXPECT_EQ(&a, &b);
   a.add(3);
-  EXPECT_EQ(b.value(), 3u);
+  EXPECT_EQ(b.value(), live(3u));
 }
 
 TEST(Registry, LabelsCreateDistinctSeries) {
@@ -121,7 +135,7 @@ TEST(Registry, LabelsCreateDistinctSeries) {
   ixp.add(5);
   tier1.add(7);
   bare.add(1);
-  EXPECT_EQ(registry.counter_total("flows_total"), 13u);
+  EXPECT_EQ(registry.counter_total("flows_total"), live(13u));
   EXPECT_EQ(registry.counter_total("absent_total"), 0u);
 }
 
@@ -153,9 +167,9 @@ TEST(Registry, SeriesViewExposesNamesAndLabels) {
   ASSERT_EQ(counters[1].labels.size(), 1u);
   EXPECT_EQ(counters[1].labels[0].key, "proto");
   EXPECT_EQ(counters[1].labels[0].value, "ntp");
-  EXPECT_EQ(counters[1].metric->value(), 2u);
+  EXPECT_EQ(counters[1].metric->value(), live(2u));
   ASSERT_EQ(registry.gauges().size(), 1u);
-  EXPECT_DOUBLE_EQ(registry.gauges()[0].metric->value(), 4.0);
+  EXPECT_DOUBLE_EQ(registry.gauges()[0].metric->value(), live(4.0));
 }
 
 TEST(Exposition, PrometheusTextFormat) {
@@ -165,12 +179,19 @@ TEST(Exposition, PrometheusTextFormat) {
   registry.histogram("latency", {1.0, 2.0}).observe(1.5);
   const std::string text = to_prometheus(registry);
   EXPECT_NE(text.find("# TYPE pkts_total counter"), std::string::npos);
-  EXPECT_NE(text.find("pkts_total{vantage=\"ixp\"} 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE cache_entries gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE latency histogram"), std::string::npos);
+#ifndef BOOTERSCOPE_NO_METRICS
+  EXPECT_NE(text.find("pkts_total{vantage=\"ixp\"} 3"), std::string::npos);
   EXPECT_NE(text.find("latency_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(text.find("latency_count 1"), std::string::npos);
   EXPECT_NE(text.find("latency_sum 1.5"), std::string::npos);
+#else
+  EXPECT_NE(text.find("pkts_total{vantage=\"ixp\"} 0"), std::string::npos);
+  EXPECT_NE(text.find("latency_bucket{le=\"+Inf\"} 0"), std::string::npos);
+  EXPECT_NE(text.find("latency_count 0"), std::string::npos);
+  EXPECT_NE(text.find("latency_sum 0"), std::string::npos);
+#endif
 }
 
 TEST(Exposition, MetricsJsonHasAllSections) {

@@ -32,7 +32,7 @@ struct FixtureSpec {
   char buffer[1024];
   std::snprintf(
       buffer, sizeof buffer,
-      "{\"schema\":\"booterscope-bench-ledger/1\",\"bench\":\"bench\","
+      "{\"schema\":\"booterscope-bench-ledger/3\",\"bench\":\"bench\","
       "\"experiment\":\"%s\",\"git_describe\":\"unknown\",\"seed\":%llu,"
       "\"config\":{\"threads\":\"%s\",\"days\":\"%s\","
       "\"fault_profile\":\"none\"},"
@@ -59,7 +59,7 @@ struct FixtureSpec {
   return *ledger;
 }
 
-/// A schema /2 resource_series block. `samples` is the *declared* count —
+/// A resource_series block. `samples` is the *declared* count —
 /// pass one that disagrees with the 3-element arrays to provoke the
 /// check_ledger consistency finding.
 [[nodiscard]] std::string series_block(double slope,
@@ -76,13 +76,12 @@ struct FixtureSpec {
   return buffer;
 }
 
-/// Upgrades a v1 fixture document to schema /2: optionally nulls the RSS
-/// (the getrusage-failed encoding) and splices in a resource_series block.
-[[nodiscard]] std::string ledger_json_v2(const FixtureSpec& spec,
-                                         bool null_rss,
-                                         const std::string& series = "") {
+/// The fixture document with the RSS optionally nulled (the getrusage-
+/// failed encoding) and a resource_series block optionally spliced in.
+[[nodiscard]] std::string ledger_json_rss(const FixtureSpec& spec,
+                                          bool null_rss,
+                                          const std::string& series = "") {
   std::string json = ledger_json(spec);
-  json.replace(json.find("ledger/1"), 8, "ledger/2");
   if (null_rss) {
     const std::size_t at = json.find("\"peak_rss_bytes\":");
     json = json.substr(0, at) + "\"peak_rss_bytes\":null}";
@@ -93,16 +92,16 @@ struct FixtureSpec {
   return json;
 }
 
-[[nodiscard]] Ledger parse_fixture_v2(const FixtureSpec& spec, bool null_rss,
-                                      const std::string& series = "") {
+[[nodiscard]] Ledger parse_fixture_rss(const FixtureSpec& spec, bool null_rss,
+                                       const std::string& series = "") {
   std::string error;
   const std::optional<Ledger> ledger =
-      parse_ledger(ledger_json_v2(spec, null_rss, series), &error);
+      parse_ledger(ledger_json_rss(spec, null_rss, series), &error);
   EXPECT_TRUE(ledger) << error;
   return *ledger;
 }
 
-/// A schema-/3 hw_counters block measured on the hardware tier. The derived
+/// An hw_counters block measured on the hardware tier. The derived
 /// ratios are computed in the same double arithmetic the emitter uses and
 /// printed at %.17g (round-trip exact), so check_ledger's identity
 /// re-derivation accepts the fixture bit-for-bit.
@@ -134,23 +133,22 @@ struct FixtureSpec {
   return buffer;
 }
 
-/// Upgrades a v1 fixture document to schema /3, splicing in an optional
-/// hw_counters block (pass "" for a /3 ledger without one).
-[[nodiscard]] std::string ledger_json_v3(const FixtureSpec& spec,
+/// The fixture document with an optional hw_counters block spliced in
+/// (pass "" for a ledger without one).
+[[nodiscard]] std::string ledger_json_hw(const FixtureSpec& spec,
                                          const std::string& hw) {
   std::string json = ledger_json(spec);
-  json.replace(json.find("ledger/1"), 8, "ledger/3");
   if (!hw.empty()) {
     json.insert(json.find("\"peak_rss_bytes\""), hw + ",");
   }
   return json;
 }
 
-[[nodiscard]] Ledger parse_fixture_v3(const FixtureSpec& spec,
+[[nodiscard]] Ledger parse_fixture_hw(const FixtureSpec& spec,
                                       const std::string& hw) {
   std::string error;
   const std::optional<Ledger> ledger =
-      parse_ledger(ledger_json_v3(spec, hw), &error);
+      parse_ledger(ledger_json_hw(spec, hw), &error);
   EXPECT_TRUE(ledger) << error;
   return *ledger;
 }
@@ -171,7 +169,7 @@ TEST(BenchdiffParse, RoundTripsEveryLedgerField) {
 }
 
 TEST(BenchdiffParse, SchemaTwoParsesNullRssAndResourceSeries) {
-  const Ledger ledger = parse_fixture_v2({}, true, series_block(512.0));
+  const Ledger ledger = parse_fixture_rss({}, true, series_block(512.0));
   EXPECT_FALSE(ledger.peak_rss_bytes.has_value())
       << "serialized null must not read back as a number";
   ASSERT_TRUE(ledger.resource_series.has_value());
@@ -183,14 +181,14 @@ TEST(BenchdiffParse, SchemaTwoParsesNullRssAndResourceSeries) {
   EXPECT_DOUBLE_EQ(ledger.resource_series->rss_slope_bytes_per_second, 512.0);
   EXPECT_DOUBLE_EQ(ledger.resource_series->interval_seconds, 0.025);
 
-  // A /2 ledger without the optional extras parses like a /1 one.
-  const Ledger plain = parse_fixture_v2({}, false);
+  // Without the optional extras the RSS is a number and there is no series.
+  const Ledger plain = parse_fixture_rss({}, false);
   EXPECT_EQ(plain.peak_rss_bytes, 400'000'000u);
   EXPECT_FALSE(plain.resource_series.has_value());
 }
 
 TEST(BenchdiffParse, SchemaThreeParsesHwCountersAndProfUnavailable) {
-  const Ledger measured = parse_fixture_v3(
+  const Ledger measured = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 20'000'000'000ull, 1'000'000'000ull,
                    50'000'000ull));
   ASSERT_TRUE(measured.hw_counters.has_value());
@@ -208,7 +206,7 @@ TEST(BenchdiffParse, SchemaThreeParsesHwCountersAndProfUnavailable) {
   // Keys the tier never measured stay disengaged, not defaulted to 0.
   EXPECT_FALSE(measured.hw_counters->stages[0].v.cache_misses.has_value());
 
-  const Ledger refused = parse_fixture_v3(
+  const Ledger refused = parse_fixture_hw(
       {},
       "\"hw_counters\":{\"prof_unavailable\":\"perf_event_open unavailable: "
       "hardware tier, cycles: EACCES (Permission denied)\"}");
@@ -217,8 +215,8 @@ TEST(BenchdiffParse, SchemaThreeParsesHwCountersAndProfUnavailable) {
   EXPECT_NE(refused.hw_counters->prof_unavailable.find("EACCES"),
             std::string::npos);
 
-  // A /3 ledger that never ran --prof simply has no block.
-  const Ledger plain = parse_fixture_v3({}, "");
+  // A ledger that never ran --prof simply has no block.
+  const Ledger plain = parse_fixture_hw({}, "");
   EXPECT_FALSE(plain.hw_counters.has_value());
 }
 
@@ -229,6 +227,16 @@ TEST(BenchdiffParse, RejectsMalformedJsonAndWrongSchema) {
   error.clear();
   EXPECT_FALSE(parse_ledger("{\"schema\":\"other/9\"}", &error));
   EXPECT_NE(error.find("unsupported schema"), std::string::npos);
+}
+
+TEST(BenchdiffParse, RefusesLedgersOfARetiredSchema) {
+  // The writer and every committed baseline use /3; the same document
+  // stamped with the retired /1 is refused, not read with /3 semantics.
+  std::string json = ledger_json({});
+  json.replace(json.find("/3\""), 2, "/1");
+  std::string error;
+  EXPECT_FALSE(parse_ledger(json, &error));
+  EXPECT_NE(error.find("unsupported schema"), std::string::npos) << error;
 }
 
 TEST(BenchdiffGate, IdenticalLedgersPass) {
@@ -334,7 +342,7 @@ TEST(BenchdiffGate, CandidateLosingTheRssMeasurementIsStructural) {
   // silently un-gate the RSS check forever — the same rule as a lost
   // resource_series, so the two cannot drift apart in strictness.
   const DiffResult result = diff_ledgers(
-      parse_fixture({}), parse_fixture_v2({}, true), DiffOptions{});
+      parse_fixture({}), parse_fixture_rss({}, true), DiffOptions{});
   ASSERT_FALSE(result.ok()) << render_report(result);
   EXPECT_EQ(result.findings[0].kind, Finding::Kind::kStructural);
   EXPECT_EQ(result.findings[0].metric, "peak_rss_bytes");
@@ -346,7 +354,7 @@ TEST(BenchdiffGate, NullBaselineRssMutesTheRssGateInsteadOfComparingZero) {
   // note — comparing against a fake 0 would either always pass or always
   // fail. A later candidate that does measure is progress, not drift.
   const DiffResult result = diff_ledgers(
-      parse_fixture_v2({}, true), parse_fixture({}), DiffOptions{});
+      parse_fixture_rss({}, true), parse_fixture({}), DiffOptions{});
   EXPECT_TRUE(result.ok()) << render_report(result);
   bool muted = false;
   for (const std::string& note : result.notes) {
@@ -357,16 +365,16 @@ TEST(BenchdiffGate, NullBaselineRssMutesTheRssGateInsteadOfComparingZero) {
 
 TEST(BenchdiffGate, SlopeRegressionFiresAboveRatioPlusAllowance) {
   // Baseline grows at 1 MB/s; threshold = 3x + 1 MiB/s = 4,048,576 B/s.
-  const Ledger base = parse_fixture_v2({}, false, series_block(1'000'000.0));
+  const Ledger base = parse_fixture_rss({}, false, series_block(1'000'000.0));
   const Ledger leaky =
-      parse_fixture_v2({}, false, series_block(5'000'000.0));
+      parse_fixture_rss({}, false, series_block(5'000'000.0));
   const DiffResult bad = diff_ledgers(base, leaky, DiffOptions{});
   ASSERT_FALSE(bad.ok()) << "5 MB/s vs 1 MB/s must trip the slope gate";
   EXPECT_EQ(bad.findings[0].metric, "resource_series.rss_slope");
   EXPECT_EQ(bad.findings[0].kind, Finding::Kind::kTiming);
 
   const Ledger near =
-      parse_fixture_v2({}, false, series_block(4'000'000.0));
+      parse_fixture_rss({}, false, series_block(4'000'000.0));
   EXPECT_TRUE(diff_ledgers(base, near, DiffOptions{}).ok())
       << "4 MB/s is under the 3x + allowance threshold";
 }
@@ -374,13 +382,13 @@ TEST(BenchdiffGate, SlopeRegressionFiresAboveRatioPlusAllowance) {
 TEST(BenchdiffGate, FlatBaselineAllowanceToleratesJitter) {
   // A flat baseline (slope ~0, even slightly negative) must not turn sub-
   // MiB/s allocator jitter into a failure; above the allowance it fails.
-  const Ledger flat = parse_fixture_v2({}, false, series_block(-100.0));
+  const Ledger flat = parse_fixture_rss({}, false, series_block(-100.0));
   const Ledger jitter =
-      parse_fixture_v2({}, false, series_block(500'000.0));
+      parse_fixture_rss({}, false, series_block(500'000.0));
   EXPECT_TRUE(diff_ledgers(flat, jitter, DiffOptions{}).ok());
 
   const Ledger leak =
-      parse_fixture_v2({}, false, series_block(2'000'000.0));
+      parse_fixture_rss({}, false, series_block(2'000'000.0));
   EXPECT_FALSE(diff_ledgers(flat, leak, DiffOptions{}).ok());
 }
 
@@ -388,9 +396,9 @@ TEST(BenchdiffGate, SlopeGateRespectsNoiseFloorAndThreadIdentity) {
   FixtureSpec tiny;
   tiny.wall = 0.05;
   const Ledger base =
-      parse_fixture_v2(tiny, false, series_block(1'000'000.0));
+      parse_fixture_rss(tiny, false, series_block(1'000'000.0));
   const Ledger leaky =
-      parse_fixture_v2(tiny, false, series_block(50'000'000.0));
+      parse_fixture_rss(tiny, false, series_block(50'000'000.0));
   DiffOptions floor;
   floor.min_runtime_seconds = 5.0;
   EXPECT_TRUE(diff_ledgers(base, leaky, floor).ok())
@@ -399,9 +407,9 @@ TEST(BenchdiffGate, SlopeGateRespectsNoiseFloorAndThreadIdentity) {
   FixtureSpec other_threads;
   other_threads.threads = "16";
   const Ledger wide =
-      parse_fixture_v2(other_threads, false, series_block(50'000'000.0));
+      parse_fixture_rss(other_threads, false, series_block(50'000'000.0));
   EXPECT_TRUE(
-      diff_ledgers(parse_fixture_v2({}, false, series_block(1'000'000.0)),
+      diff_ledgers(parse_fixture_rss({}, false, series_block(1'000'000.0)),
                    wide, DiffOptions{})
           .ok())
       << "a different pool shape legitimately changes memory behaviour";
@@ -414,8 +422,8 @@ TEST(BenchdiffGate, DegenerateSeriesMutesTheSlopeGate) {
       "\"resource_series\":{\"interval_seconds\":0.025,\"samples\":1,"
       "\"dropped\":0,\"t_seconds\":[0],\"rss_bytes\":[1000],"
       "\"cpu_seconds\":[0.1],\"rss_slope_bytes_per_second\":0}";
-  const Ledger base = parse_fixture_v2({}, false, series_block(1'000'000.0));
-  const Ledger short_run = parse_fixture_v2({}, false, degenerate);
+  const Ledger base = parse_fixture_rss({}, false, series_block(1'000'000.0));
+  const Ledger short_run = parse_fixture_rss({}, false, degenerate);
   const DiffResult result = diff_ledgers(base, short_run, DiffOptions{});
   EXPECT_TRUE(result.ok()) << render_report(result);
   bool muted = false;
@@ -427,7 +435,7 @@ TEST(BenchdiffGate, DegenerateSeriesMutesTheSlopeGate) {
   // The mute is symmetric: a degenerate *baseline* must not let a real
   // candidate slope be compared against the 0.0 placeholder either.
   const Ledger leaky =
-      parse_fixture_v2({}, false, series_block(50'000'000.0));
+      parse_fixture_rss({}, false, series_block(50'000'000.0));
   EXPECT_TRUE(diff_ledgers(short_run, leaky, DiffOptions{}).ok());
 }
 
@@ -452,10 +460,10 @@ TEST(BenchdiffGate, DetectsIpcRegressionBeyondTheRatio) {
   // Baseline retires 2.0 IPC; a candidate at 1.5 is a 1.33x drop, past the
   // default 1.25x threshold. Cache rates are identical, so the one finding
   // is the IPC gate.
-  const Ledger base = parse_fixture_v3(
+  const Ledger base = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 20'000'000'000ull, 1'000'000'000ull,
                    50'000'000ull));
-  const Ledger slow = parse_fixture_v3(
+  const Ledger slow = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 15'000'000'000ull, 1'000'000'000ull,
                    50'000'000ull));
   const DiffResult bad = diff_ledgers(base, slow, DiffOptions{});
@@ -465,7 +473,7 @@ TEST(BenchdiffGate, DetectsIpcRegressionBeyondTheRatio) {
   EXPECT_NE(bad.findings[0].detail.find("IPC regression"), std::string::npos);
 
   // 2.0 -> 1.7 is a 1.18x drop: within threshold, no finding.
-  const Ledger near = parse_fixture_v3(
+  const Ledger near = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 17'000'000'000ull, 1'000'000'000ull,
                    50'000'000ull));
   EXPECT_TRUE(diff_ledgers(base, near, DiffOptions{}).ok());
@@ -474,10 +482,10 @@ TEST(BenchdiffGate, DetectsIpcRegressionBeyondTheRatio) {
 TEST(BenchdiffGate, DetectsDoubledCacheMissRate) {
   // Baseline misses 5% of references; a candidate missing 10% crosses the
   // 1.5x + 0.02 allowance threshold (0.095). IPC is held identical.
-  const Ledger base = parse_fixture_v3(
+  const Ledger base = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 20'000'000'000ull, 1'000'000'000ull,
                    50'000'000ull));
-  const Ledger thrashy = parse_fixture_v3(
+  const Ledger thrashy = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 20'000'000'000ull, 1'000'000'000ull,
                    100'000'000ull));
   const DiffResult bad = diff_ledgers(base, thrashy, DiffOptions{});
@@ -486,7 +494,7 @@ TEST(BenchdiffGate, DetectsDoubledCacheMissRate) {
   EXPECT_EQ(bad.findings[0].metric, "hw.cache_miss_rate");
 
   // 5% -> 9% stays under the threshold: allowance absorbs it.
-  const Ledger warm = parse_fixture_v3(
+  const Ledger warm = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 20'000'000'000ull, 1'000'000'000ull,
                    90'000'000ull));
   EXPECT_TRUE(diff_ledgers(base, warm, DiffOptions{}).ok());
@@ -496,10 +504,10 @@ TEST(BenchdiffGate, ProfUnavailableMutesTheHwGatesWithTheReason) {
   // A candidate whose degradation ladder bottomed out carries an explicit
   // reason; the gates mute with it instead of failing (or comparing
   // phantom zeros). Counters that were never measured must never gate.
-  const Ledger base = parse_fixture_v3(
+  const Ledger base = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 20'000'000'000ull, 1'000'000'000ull,
                    50'000'000ull));
-  const Ledger refused = parse_fixture_v3(
+  const Ledger refused = parse_fixture_hw(
       {},
       "\"hw_counters\":{\"prof_unavailable\":\"perf_event_open unavailable: "
       "software tier, task-clock: EACCES (Permission denied)\"}");
@@ -516,7 +524,7 @@ TEST(BenchdiffGate, ProfUnavailableMutesTheHwGatesWithTheReason) {
 
   // One side simply never ran --prof: same mute, different why.
   const DiffResult no_block =
-      diff_ledgers(base, parse_fixture_v3({}, ""), DiffOptions{});
+      diff_ledgers(base, parse_fixture_hw({}, ""), DiffOptions{});
   EXPECT_TRUE(no_block.ok()) << render_report(no_block);
   bool noted = false;
   for (const std::string& note : no_block.notes) {
@@ -534,7 +542,7 @@ TEST(BenchdiffGate, HwGatesMuteAcrossThreadCountsAndOnTheSoftwareTier) {
   FixtureSpec wide;
   wide.threads = "16";
   const DiffResult threads =
-      diff_ledgers(parse_fixture_v3({}, hw), parse_fixture_v3(wide, hw),
+      diff_ledgers(parse_fixture_hw({}, hw), parse_fixture_hw(wide, hw),
                    DiffOptions{});
   EXPECT_TRUE(threads.ok()) << render_report(threads);
   bool thread_note = false;
@@ -553,8 +561,8 @@ TEST(BenchdiffGate, HwGatesMuteAcrossThreadCountsAndOnTheSoftwareTier) {
       "\"dropped_events\":0,\"stages\":[],"
       "\"total\":{\"task_clock_seconds\":1.5,\"page_faults\":42,"
       "\"context_switches\":5}}";
-  const DiffResult soft = diff_ledgers(parse_fixture_v3({}, software),
-                                       parse_fixture_v3({}, software),
+  const DiffResult soft = diff_ledgers(parse_fixture_hw({}, software),
+                                       parse_fixture_hw({}, software),
                                        DiffOptions{});
   EXPECT_TRUE(soft.ok()) << render_report(soft);
   bool ipc_muted = false;
@@ -571,7 +579,7 @@ TEST(BenchdiffGate, HwGatesMuteAcrossThreadCountsAndOnTheSoftwareTier) {
 TEST(BenchdiffCheck, FlagsDoctoredIpcAndOutOfRangeCacheRate) {
   // The emitter derives ipc from the raw counts; a hand-edited ledger whose
   // ratio disagrees past representation noise is corrupt, not noisy.
-  Ledger doctored = parse_fixture_v3(
+  Ledger doctored = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 20'000'000'000ull, 1'000'000'000ull,
                    50'000'000ull));
   EXPECT_TRUE(check_ledger(doctored).empty());
@@ -581,7 +589,7 @@ TEST(BenchdiffCheck, FlagsDoctoredIpcAndOutOfRangeCacheRate) {
   EXPECT_NE(findings[0].detail.find("instructions/cycles identity"),
             std::string::npos);
 
-  Ledger out_of_range = parse_fixture_v3(
+  Ledger out_of_range = parse_fixture_hw(
       {}, hw_block(10'000'000'000ull, 20'000'000'000ull, 1'000'000'000ull,
                    50'000'000ull));
   out_of_range.hw_counters->total.cache_miss_rate = 1.5;
@@ -593,13 +601,13 @@ TEST(BenchdiffCheck, FlagsDoctoredIpcAndOutOfRangeCacheRate) {
 }
 
 TEST(BenchdiffFlatRss, GatesAnAbsoluteSlopeBudget) {
-  const Ledger flat = parse_fixture_v2({}, false, series_block(500'000.0));
+  const Ledger flat = parse_fixture_rss({}, false, series_block(500'000.0));
   const DiffResult pass = flat_rss_check(flat, 1024.0 * 1024.0);
   EXPECT_TRUE(pass.ok()) << render_report(pass);
   EXPECT_EQ(pass.compared, 1);
 
   const Ledger leaky =
-      parse_fixture_v2({}, false, series_block(2'000'000.0));
+      parse_fixture_rss({}, false, series_block(2'000'000.0));
   const DiffResult fail = flat_rss_check(leaky, 1024.0 * 1024.0);
   ASSERT_FALSE(fail.ok());
   EXPECT_EQ(fail.findings[0].kind, Finding::Kind::kTiming);
@@ -618,13 +626,13 @@ TEST(BenchdiffFlatRss, MissingOrDegenerateSeriesIsStructural) {
       "\"dropped\":0,\"t_seconds\":[0],\"rss_bytes\":[1000],"
       "\"cpu_seconds\":[0.1],\"rss_slope_bytes_per_second\":0}";
   const DiffResult degenerate =
-      flat_rss_check(parse_fixture_v2({}, false, one_sample), 1024.0);
+      flat_rss_check(parse_fixture_rss({}, false, one_sample), 1024.0);
   ASSERT_FALSE(degenerate.ok());
   EXPECT_EQ(degenerate.findings[0].kind, Finding::Kind::kStructural);
 }
 
 TEST(BenchdiffGate, CandidateLosingTheSeriesIsStructuralDrift) {
-  const Ledger base = parse_fixture_v2({}, false, series_block(0.0));
+  const Ledger base = parse_fixture_rss({}, false, series_block(0.0));
   const Ledger bare = parse_fixture({});  // v1: no series
   const DiffResult result = diff_ledgers(base, bare, DiffOptions{});
   ASSERT_FALSE(result.ok());
@@ -637,13 +645,13 @@ TEST(BenchdiffGate, CandidateLosingTheSeriesIsStructuralDrift) {
 
 TEST(BenchdiffCheck, FlagsSeriesArrayMismatchAndNonMonotoneTime) {
   const Ledger miscounted =
-      parse_fixture_v2({}, false, series_block(0.0, /*samples=*/5));
+      parse_fixture_rss({}, false, series_block(0.0, /*samples=*/5));
   std::vector<Finding> findings = check_ledger(miscounted);
   ASSERT_EQ(findings.size(), 1u) << render_report({findings, {}, 1});
   EXPECT_NE(findings[0].detail.find("declared sample count"),
             std::string::npos);
 
-  const Ledger unordered = parse_fixture_v2(
+  const Ledger unordered = parse_fixture_rss(
       {}, false, series_block(0.0, /*samples=*/3, "[0,2,1]"));
   findings = check_ledger(unordered);
   ASSERT_EQ(findings.size(), 1u);

@@ -14,14 +14,8 @@ namespace booterscope::benchdiff {
 
 namespace {
 
-// /1 ledgers predate the live telemetry plane: no resource_series, RSS
-// always a number. /2 adds the optional series and nullable RSS. /3 adds
-// the optional hw_counters block (obs::prof) and flow_micro. All three
-// stay accepted so committed older baselines keep gating until
-// regenerated.
-constexpr std::string_view kSchemaV1 = "booterscope-bench-ledger/1";
-constexpr std::string_view kSchemaV2 = "booterscope-bench-ledger/2";
-constexpr std::string_view kSchemaV3 = "booterscope-bench-ledger/3";
+// The one schema obs::PerfLedger writes and every committed baseline uses.
+constexpr std::string_view kSchema = "booterscope-bench-ledger/3";
 
 [[nodiscard]] std::string format_seconds(double seconds) {
   char buffer[32];
@@ -81,11 +75,10 @@ std::optional<Ledger> parse_ledger(const std::string& text,
     return std::nullopt;
   }
   const std::string schema = doc->string_or("schema", "");
-  if (schema != kSchemaV1 && schema != kSchemaV2 && schema != kSchemaV3) {
+  if (schema != kSchema) {
     if (error != nullptr) {
       *error = "unsupported schema '" + schema + "' (want '" +
-               std::string(kSchemaV1) + "', '" + std::string(kSchemaV2) +
-               "' or '" + std::string(kSchemaV3) + "')";
+               std::string(kSchema) + "')";
     }
     return std::nullopt;
   }
@@ -516,9 +509,9 @@ DiffResult diff_ledgers(const Ledger& baseline, const Ledger& candidate,
                       " + 1 MiB/s allowance)");
     }
   }
-  // Hardware-counter gates (schema /3): timing-class, and muted — never
-  // failed — when counters are unavailable on either side. A ladder that
-  // bottomed out, a software-tier run with no cycles, or a thread-count
+  // Hardware-counter gates: timing-class, and muted — never failed —
+  // when counters are unavailable on either side. A ladder that bottomed
+  // out, a software-tier run with no cycles, or a thread-count
   // mismatch all leave nothing comparable; the notes say which.
   if (baseline.hw_counters || candidate.hw_counters) {
     const bool base_hw =

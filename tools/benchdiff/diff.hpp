@@ -1,6 +1,6 @@
 // benchdiff: compares perf ledgers (BENCH_<id>.json, schema
-// booterscope-bench-ledger/1, /2 or /3) against committed baselines and
-// fails on regression. The differ runs three classes of gate:
+// booterscope-bench-ledger/3) against committed baselines and fails on
+// regression. The differ runs three classes of gate:
 //
 //   structural — schema/shape problems and config drift (a candidate whose
 //     identity config differs from the baseline is not comparable; that is
@@ -13,17 +13,17 @@
 //     flake the gate. `threads` is excluded from identity (it trades wall
 //     clock, not bytes) but RSS is only compared thread-count-to-like.
 //
-// Schema /2 additions: `peak_rss_bytes` may be null when getrusage failed
+// Optional parts: `peak_rss_bytes` may be null when getrusage failed
 // (the RSS gate is then muted with a note instead of comparing a fake 0),
 // and an optional `resource_series` block carries the live sampler's RSS/
 // CPU time series. When both sides ran the sampler long enough, the RSS
 // growth slope is gated like the other timing metrics — a leak shows up as
 // a slope regression long before the high-water mark doubles.
 //
-// Schema /3 additions: an optional `hw_counters` block from obs::prof —
-// either per-stage/total hardware counters tagged with the degradation
-// tier that measured them ("hardware" / "reduced" / "software"), or an
-// explicit `prof_unavailable` reason. Two more timing-class gates ride on
+// An optional `hw_counters` block from obs::prof carries either
+// per-stage/total hardware counters tagged with the degradation tier that
+// measured them ("hardware" / "reduced" / "software"), or an explicit
+// `prof_unavailable` reason. Two more timing-class gates ride on
 // it: IPC regression and cache-miss-rate regression, muted with a note
 // whenever either side lacks the counters (unavailable profiling, a tier
 // that measured no cycles, or mismatched thread counts) — counters that
@@ -71,7 +71,7 @@ struct Ledger {
   /// time) or the key is absent — distinguishable from a real measurement.
   std::optional<std::uint64_t> peak_rss_bytes;
 
-  /// The live sampler's time series (schema /2, optional). Parallel arrays;
+  /// The live sampler's time series (optional). Parallel arrays;
   /// `samples` is the declared count the arrays must agree with.
   struct ResourceSeries {
     double interval_seconds = 0.0;
@@ -99,7 +99,7 @@ struct Ledger {
     double task_clock_seconds = 0.0;
   };
 
-  /// The schema-/3 `hw_counters` block. `prof_unavailable` non-empty means
+  /// The optional `hw_counters` block. `prof_unavailable` non-empty means
   /// profiling was requested but the degradation ladder bottomed out — the
   /// IPC/cache gates mute with that reason instead of comparing phantoms.
   struct HwCounters {
@@ -123,7 +123,7 @@ struct Ledger {
 };
 
 /// Parses ledger JSON; nullopt + reason on malformed documents or a schema
-/// other than booterscope-bench-ledger/1, /2 or /3.
+/// other than booterscope-bench-ledger/3.
 [[nodiscard]] std::optional<Ledger> parse_ledger(const std::string& text,
                                                  std::string* error);
 
@@ -143,15 +143,15 @@ struct DiffOptions {
   /// + a 1 MiB/s allowance. The allowance keeps near-zero baselines from
   /// turning allocator jitter into a failure.
   double rss_slope_ratio = 3.0;
-  /// IPC regression gate (schema /3): fail when baseline IPC divided by
-  /// candidate IPC exceeds this — the candidate retires noticeably fewer
-  /// instructions per cycle. Applies only when both sides measured cycles
+  /// IPC regression gate: fail when baseline IPC divided by candidate IPC
+  /// exceeds this — the candidate retires noticeably fewer instructions
+  /// per cycle. Applies only when both sides measured cycles
   /// (hardware/reduced tiers) with matching thread counts; muted with a
   /// note otherwise.
   double ipc_ratio = 1.25;
-  /// Cache-miss-rate gate (schema /3): fail when the candidate's rate
-  /// exceeds baseline rate * this + a 0.02 absolute allowance (the
-  /// allowance keeps near-zero baseline rates from flagging jitter).
+  /// Cache-miss-rate gate: fail when the candidate's rate exceeds baseline
+  /// rate * this + a 0.02 absolute allowance (the allowance keeps
+  /// near-zero baseline rates from flagging jitter).
   double cache_miss_ratio = 1.5;
   /// Fail when a baseline has no candidate ledger (CI: every gated bench
   /// must actually have run).
